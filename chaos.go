@@ -128,11 +128,6 @@ type Options struct {
 	// should scale latencies by the same factor to preserve the paper's
 	// latency-to-service-time ratios (see DESIGN.md). Zero means 1.
 	LatencyScale float64
-	// ComputeWorkers bounds the host worker pool that runs per-chunk
-	// compute off the simulation thread (0 = GOMAXPROCS). Results,
-	// reports and simulated times are bit-identical for every value —
-	// the knob only trades host wall-clock time.
-	ComputeWorkers int
 	// Engine selects the execution plane: EngineSim (the default, also
 	// "" or "des") runs the protocol under the deterministic
 	// discrete-event simulation and reports virtual time; EngineNative
@@ -142,17 +137,6 @@ type Options struct {
 	// paper-facing performance claim is made (see DESIGN.md, "Two
 	// planes, one protocol").
 	Engine string
-	// NativeBarrier restores the native engine's two-global-barriers-
-	// per-iteration phase layout: every scatter finishes before any
-	// gather starts. The default (false) streams the boundary — gathers
-	// fold each source's update chunks as soon as that source's scatter
-	// completes. Final values are bit-identical either way (the fold
-	// order, not the phase order, is the determinism invariant; DESIGN.md
-	// "Streaming the phase boundary"); only wall-clock and the
-	// scheduling-dependent steal counters differ. The sim engine accepts
-	// and ignores it: its simulated phases are barrier-ordered by
-	// construction.
-	NativeBarrier bool
 	// Seed drives all randomized decisions; equal seeds reproduce runs
 	// exactly.
 	Seed int64
@@ -225,12 +209,8 @@ func (o Options) config() core.Config {
 	cfg.CombineUpdates = o.CombineUpdates
 	cfg.RewriteEdges = o.RewriteEdges
 	cfg.ReplicateVertices = o.ReplicateVertices
-	cfg.PhaseBarrier = o.NativeBarrier
 	if o.MaxIterations > 0 {
 		cfg.MaxIterations = o.MaxIterations
-	}
-	if o.ComputeWorkers > 0 {
-		cfg.ComputeWorkers = o.ComputeWorkers
 	}
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed

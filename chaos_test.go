@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"chaos/internal/graph"
@@ -14,35 +13,6 @@ func labOptions(m int) Options {
 		Machines:   m,
 		ChunkBytes: 4 << 10,
 		Seed:       1,
-	}
-}
-
-// TestComputeWorkersDoNotChangeResults is the public-API face of the
-// engine's determinism contract: for every algorithm, a serial run
-// (ComputeWorkers = 1) and a pooled run produce bit-identical Results and
-// Reports — including SimulatedSeconds and the full Figure 17 breakdown.
-func TestComputeWorkersDoNotChangeResults(t *testing.T) {
-	for _, alg := range Algorithms() {
-		edges := GenerateRMAT(6, NeedsWeights(alg), 42)
-		serial := labOptions(4)
-		serial.MemBudgetBytes = 1 << 8 // several partitions per machine
-		serial.ComputeWorkers = 1
-		parallel := serial
-		parallel.ComputeWorkers = 8
-		res1, rep1, err := RunByNameResult(alg, edges, 0, serial)
-		if err != nil {
-			t.Fatalf("%s serial: %v", alg, err)
-		}
-		res2, rep2, err := RunByNameResult(alg, edges, 0, parallel)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", alg, err)
-		}
-		if !reflect.DeepEqual(res1, res2) {
-			t.Errorf("%s: results differ across worker counts:\nserial:   %+v\nparallel: %+v", alg, res1, res2)
-		}
-		if !reflect.DeepEqual(rep1, rep2) {
-			t.Errorf("%s: reports differ across worker counts:\nserial:   %+v\nparallel: %+v", alg, rep1, rep2)
-		}
 	}
 }
 

@@ -62,7 +62,6 @@ func main() {
 		storage   = flag.String("storage", "ssd", "default storage device: ssd or hdd")
 		network   = flag.String("network", "40g", "default network: 40g or 1g")
 		benchJSON = flag.String("bench-json", ".", "directory for BENCH_<experiment>.json records (empty disables)")
-		workers   = flag.Int("workers", 0, "engine compute workers (0 = GOMAXPROCS); results are identical for every value")
 		engineFl  = flag.String("engine", "sim",
 			"execution engine: sim reproduces the paper's figures; native selects the native-vs-DES wall-clock comparison (the figures themselves are DES-only)")
 		cpuProfile = flag.String("cpuprofile", "",
@@ -101,7 +100,7 @@ func main() {
 		scale = experiments.Quick
 	}
 	scale.Storage, scale.Network = hw.Storage, hw.Network
-	scale.BenchDir, scale.ComputeWorkers = *benchJSON, *workers
+	scale.BenchDir = *benchJSON
 	// Profiling brackets exactly the experiments' timed region — the
 	// same code the wall-clock records measure — so "profile-driven" is
 	// reproducible by anyone: chaos-bench -experiment native -cpuprofile

@@ -56,8 +56,6 @@ func main() {
 		seed   = flag.Int64("seed", 1, "randomization seed")
 		engine = flag.String("engine", "sim",
 			"execution engine: sim (discrete-event simulation, virtual time) or native (host-speed goroutine plane, wall-clock)")
-		nativeBarrier = flag.Bool("native-barrier", false,
-			"restore the native engine's barrier-per-phase layout instead of the streaming scatter/gather pipeline (A/B measurement; values are identical)")
 		traceOut = flag.String("trace", "",
 			"write the run's flight-recorder timeline to this file as Chrome trace_event JSON (empty = no recording)")
 		traceSpans = flag.Int("trace-spans", 1<<16,
@@ -117,7 +115,6 @@ func main() {
 		Seed:            *seed,
 		LatencyScale:    float64(*chunkKB<<10) / float64(4<<20),
 		Engine:          eng,
-		NativeBarrier:   *nativeBarrier,
 	}
 
 	// Convert to the algorithm's edge view explicitly (instead of

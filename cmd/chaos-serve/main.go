@@ -22,9 +22,9 @@
 // status and duration. -debug-addr starts a second, operator-only
 // listener with net/http/pprof (keep it off the public address). The
 // queue is bounded by -max-queue: overflow answers 429 with
-// Retry-After. The host compute budget (-compute-budget, default
-// GOMAXPROCS) is divided across concurrently running simulations so N
-// jobs do not oversubscribe the machine N×.
+// Retry-After. -workers caps how many jobs run at once; each job computes
+// on its own goroutines (one for a DES run, one per machine for a native
+// run), which the Go runtime multiplexes onto GOMAXPROCS threads.
 //
 // With -data-dir, graph registrations, job history and memoized results
 // survive restarts: state is journaled to a write-ahead log with
@@ -64,8 +64,6 @@ func main() {
 		drainSec = flag.Int("drain-seconds", 120, "graceful-shutdown drain budget")
 		maxQueue = flag.Int("max-queue", 1024,
 			"queued-job bound; submissions past it answer 429 with Retry-After (0 = unbounded)")
-		computeBudget = flag.Int("compute-budget", 0,
-			"total engine compute workers shared across running jobs (0 = GOMAXPROCS, -1 = unmanaged)")
 
 		dataDir       = flag.String("data-dir", "", "durable state directory (empty = in-memory only)")
 		snapshotEvery = flag.Int("snapshot-every", 1024,
@@ -97,7 +95,6 @@ func main() {
 			MemoryBudgetMB: *memoryBudgetMB,
 		},
 		MaxQueue:            *maxQueue,
-		ComputeBudget:       *computeBudget,
 		MaxUploadBytes:      int64(*maxUploadMB) << 20,
 		DataDir:             *dataDir,
 		SnapshotEvery:       *snapshotEvery,

@@ -1,7 +1,7 @@
 // Package detscope decides which code the determinism analyzers
 // (detrange, wallclock) apply to. The deterministic core of the repo —
 // the packages whose outputs must be bit-identical across execution
-// planes, worker counts and hosts — is enumerated here once so the
+// planes, goroutine schedules and hosts — is enumerated here once so the
 // analyzers agree on the boundary.
 package detscope
 

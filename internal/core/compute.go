@@ -384,10 +384,8 @@ func (m *machine[V, U, A]) dirRequest(op dirOp, kind storage.SetKind, part int, 
 // streamChunks drives the batched chunk protocol of §6.5 for one partition's
 // edge or update set: keep a window of phi*k requests outstanding to
 // uniformly random storage engines, process chunk replies as they arrive,
-// and finish when every engine has reported empty. The reply identifies
-// the chunk by (store, cursor index); its computation was dispatched to
-// the worker pool when the stream was acquired, and the caller's onChunk
-// merges the result at the deterministic delivery instant.
+// and finish when every engine has reported empty. The caller's onChunk
+// runs on the chunk's bytes at its deterministic delivery instant.
 func (m *machine[V, U, A]) streamChunks(p *sim.Proc, kind storage.SetKind, part int, onChunk func(chunkReply)) {
 	eng := m.eng
 	nm := eng.layout.NumMachines
@@ -574,11 +572,11 @@ func (m *machine[V, U, A]) restore(p *sim.Proc) {
 // Update record encoding: destination ID (4 or 8 bytes, §8) plus payload.
 
 func (m *machine[V, U, A]) appendUpdate(buf []byte, dst graph.VertexID, val *U) []byte {
-	return m.eng.appendUpdateRecord(buf, dst, val)
+	return m.eng.kern.AppendUpdate(buf, dst, val)
 }
 
 func (m *machine[V, U, A]) decodeUpdate(buf []byte) (graph.VertexID, U) {
-	r := m.eng.decodeUpdateRecord(buf)
+	r := m.eng.kern.DecodeUpdate(buf)
 	return r.Dst, r.Val
 }
 
@@ -605,33 +603,22 @@ func (m *machine[V, U, A]) scatterRun(p *sim.Proc, iter int) {
 	m.stats.Add(metrics.Barrier, p.Now()-t0)
 }
 
-// scatterPartition streams a partition's edges and emits updates. The
-// per-chunk computation (decode, rewriter, Scatter, update encoding) was
-// dispatched to the worker pool when the stream was acquired; here each
-// delivered chunk's pure result is merged — in delivery order, before any
+// scatterPartition streams a partition's edges and emits updates. Each
+// delivered chunk runs the scatter kernel (decode, rewriter, Scatter,
+// update encoding) and is merged — in delivery order, before any
 // simulated time is charged for it — into the machine's spill buffers.
 // With a combiner, updates to the same destination merge inside the
 // buffers (§11.1); with a rewriter, the surviving edges are written into
 // the next-generation edge set (§6.1 extended model).
 func (m *machine[V, U, A]) scatterPartition(p *sim.Proc, iter, part int, verts []V) {
 	eng := m.eng
-	w := m.acquireScatterStream(iter, part, verts)
 	m.streamChunks(p, storage.EdgeSet, part, func(r chunkReply) {
 		m.trChunks++
-		m.trBytesIn += int64(r.length)
-		sc := w.at(r.from, r.idx)
-		if sc == nil {
-			// Inline mode (and, defensively, any chunk predating the
-			// stream's task set): the reply carries the bytes, run the
-			// same kernel at the delivery instant.
-			sc = &scatterChunk[U]{}
-			eng.kern.ScatterChunk(iter, part, verts, r.data, &sc.out)
-		} else {
-			sc.Wait()
-		}
-		m.mergeScatter(p, part, &sc.out)
+		m.trBytesIn += int64(len(r.data))
+		var out drive.ScatterOut[U]
+		eng.kern.ScatterChunk(iter, part, verts, r.data, &out)
+		m.mergeScatter(p, part, &out)
 	})
-	eng.releaseScatterStream(part)
 }
 
 // mergeScatter replays one chunk's pure scatter result against the
@@ -790,46 +777,24 @@ func (m *machine[V, U, A]) newAccums(n int) []A {
 }
 
 // gatherPartition streams a partition's updates into accumulators. verts
-// is the partition's vertex set, read-only during gather. Each chunk's
-// decode was dispatched to the worker pool when the stream was acquired
-// (shared between master and stealers); the fold into this machine's
-// accumulators runs as a chained worker task — chained in the chunks'
-// deterministic delivery order, so the accumulator fold sequence is
-// identical for any worker count — and the whole chain is awaited before
-// the accumulators are read.
+// is the partition's vertex set, read-only during gather. Each delivered
+// chunk is decoded and folded into this machine's accumulators at its
+// delivery instant, so the fold order is the deterministic delivery
+// order.
 func (m *machine[V, U, A]) gatherPartition(p *sim.Proc, part int, verts []V, accums []A) {
 	eng := m.eng
 	lo, _ := eng.layout.Range(part)
-	w := eng.acquireGatherStream(part)
-	var tail *chunkTask
 	m.streamChunks(p, storage.UpdateSet, part, func(r chunkReply) {
 		m.trChunks++
-		m.trBytesIn += int64(r.length)
-		m.cpu(p, r.length/eng.updBytes)
-		gc := w.at(r.from, r.idx)
-		if gc == nil {
-			// Inline mode or defensive fallback: decode at delivery
-			// (see scatterPartition).
-			gc = &gatherChunk[U]{}
-			gc.Done = closedChan
-			gc.recs = eng.kern.DecodeUpdateChunk(eng.kern.GrabRecs(), r.data)
+		m.trBytesIn += int64(len(r.data))
+		m.cpu(p, len(r.data)/eng.updBytes)
+		recs := eng.kern.DecodeUpdateChunk(eng.kern.GrabRecs(), r.data)
+		for i := range recs {
+			u := &recs[i]
+			accums[u.Dst-lo] = eng.prog.Gather(accums[u.Dst-lo], u.Val, &verts[u.Dst-lo])
 		}
-		ft := &chunkTask{Prev: tail, Fn: func() {
-			gc.Wait() // decode complete
-			for i := range gc.recs {
-				u := &gc.recs[i]
-				accums[u.Dst-lo] = eng.prog.Gather(accums[u.Dst-lo], u.Val, &verts[u.Dst-lo])
-			}
-			eng.kern.ReleaseRecs(gc.recs)
-			gc.recs = nil
-		}}
-		eng.pool.Submit(ft)
-		tail = ft
+		eng.kern.ReleaseRecs(recs)
 	})
-	if tail != nil {
-		tail.Wait()
-	}
-	eng.releaseGatherStream(part)
 }
 
 // applyPartition is the master-side wrap-up for one of its partitions:

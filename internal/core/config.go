@@ -85,23 +85,6 @@ type Config struct {
 	// DirectoryServiceTime is the per-request service time of the
 	// central directory (defaults to 50µs).
 	DirectoryServiceTime sim.Time
-	// PhaseBarrier restores the native driver's two-global-barriers-per-
-	// iteration phase layout: every scatter finishes before any gather
-	// starts. The default (false) pipelines the boundary — a gather folds
-	// each source's update chunks as soon as that source's scatter
-	// completes, overlapping with still-running scatters. Results are
-	// bit-identical either way (the fold order, not the phase order, is
-	// the determinism invariant; see DESIGN.md "Streaming the phase
-	// boundary"); only wall-clock and the scheduling-dependent steal
-	// counters differ. The DES driver ignores it: its simulated phases
-	// are barrier-ordered by construction.
-	PhaseBarrier bool
-	// ComputeWorkers bounds the worker pool that executes per-chunk
-	// compute (decode, GAS kernel, update encoding) off the simulation
-	// thread. Zero means GOMAXPROCS. Results, metrics and simulated
-	// times are bit-identical for every worker count (see parallel.go);
-	// the knob only trades wall-clock time.
-	ComputeWorkers int
 	// Seed selects the random stream for placement, stealing order and
 	// request routing.
 	Seed int64
@@ -110,8 +93,7 @@ type Config struct {
 	BackendFor func(machine int) storage.Backend
 	// Interrupt, when non-nil, is polled at each iteration boundary
 	// (machine 0's decision point). When it returns true the run stops
-	// cleanly at that boundary — in-flight chunk work drains, the
-	// simulation unwinds — and Run returns ErrInterrupted. The job
+	// cleanly at that boundary and Run returns ErrInterrupted. The job
 	// service wires a context's Done check here so DELETE on a running
 	// job is observed between iterations.
 	Interrupt func() bool

@@ -16,10 +16,9 @@
 //
 // Everything here is side-effect-free with respect to any driver's
 // scheduler state: kernels never touch a clock, an RNG or a mailbox.
-// That property is what lets the DES driver offload them to worker
-// goroutines while staying bit-reproducible (invariants in
-// internal/core/parallel.go), and what lets the native driver run them
-// with plain goroutines.
+// Both drivers run them inline on the goroutine that owns the work: the
+// DES driver at a chunk's simulated delivery instant, which keeps it
+// bit-reproducible, and the native driver on its machine goroutines.
 package drive
 
 import (

@@ -30,16 +30,14 @@ var ClosedChan = func() chan struct{} {
 // FIFO per worker pull; a task's Prev (if any) is always submitted
 // earlier, so the pull order guarantees the predecessor has been picked
 // up by some worker (or finished) before the successor runs — chained
-// waits cannot deadlock, for any pool size.
+// waits cannot deadlock, for any pool size. With one worker (or on a
+// single-core host) the pool degenerates to inline mode: Submit runs the
+// task on the spot and Wait is free.
 //
-// With one worker (or on a single-core host) there is nothing to overlap
-// with, so the pool degenerates to inline mode: Submit runs the task on
-// the spot and Wait is free. Because every task is pure and ordered only
-// by its explicit dependencies, inline execution produces bit-identical
-// results to any pool size — inline mode IS the serial baseline the
-// DES driver's determinism tests compare against. The native driver
-// shares the pool for its per-chunk compute: there the pool size only
-// changes wall-clock overlap, never results, by the same purity argument.
+// Neither driver uses it: both run their kernels inline, because
+// measurement showed the per-chunk task overhead outweighed the overlap
+// it bought. It remains only because perfbench reports its per-task cost
+// (drive.pool_task_ns).
 type Pool struct {
 	inline bool
 	tasks  chan *Task

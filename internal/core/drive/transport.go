@@ -6,10 +6,10 @@ import "sync/atomic"
 // (gather): the one place where typed update records either stay typed
 // slices or become encoded bytes. A driver Puts the records partition
 // src's scatter emitted for partition dst, chunk by chunk, and later
-// drains partition dst's pending chunks in the deterministic
-// (source partition, chunk) fold order — either all at once (Drain) or
-// source by source as each scatter completes (DrainFrom, the streaming
-// consumer API behind the native driver's pipelined phase boundary).
+// drains partition dst's pending chunks source by source as each scatter
+// completes (DrainFrom), which yields the deterministic (source
+// partition, chunk) fold order when sources are drained in ascending
+// order.
 // Encoding is a property of crossing a real boundary — the in-memory
 // transport never encodes, the spilling transport encodes exactly the
 // chunks that overflow its budget onto storage, and the DES driver's
@@ -19,9 +19,9 @@ import "sync/atomic"
 // Concurrency contract (the native store's one-writer discipline):
 // bucket (src, dst) is written only by the goroutine running scatter(src)
 // — including any budget-pressure spilling, which sweeps row src only —
-// until scatter(src)'s completion is published (a channel close or a
-// phase barrier). Afterwards the bucket is read only by the goroutine
-// running gather(dst), via DrainFrom(dst, src) or Drain(dst). The
+// until scatter(src)'s completion is published (a channel close).
+// Afterwards the bucket is read only by the goroutine running
+// gather(dst), via DrainFrom(dst, src). The
 // completion signal is the happens-before edge; no slot is ever touched
 // from two goroutines without one. PendingBytes is a single atomic read,
 // safe at any time — steal sweeps consult it live while producers are
@@ -41,16 +41,10 @@ type Transport[U any] interface {
 	// encoded-equivalent bytes pending for partition dst. A single
 	// atomic read — callable concurrently with Put and DrainFrom.
 	PendingBytes(dst int) int64
-	// Drain removes and returns dst's pending chunks in (source
-	// partition, chunk production) order — the deterministic fold order.
-	// Each chunk must be Loaded (any goroutine) and then Released.
-	Drain(dst int) []PendingChunk[U]
 	// DrainFrom removes and returns only the chunks src's scatter
-	// emitted for dst, in production order. Draining src 0..np-1 in
-	// ascending order yields exactly Drain's sequence, so a consumer
-	// that folds each source's chunks as that source completes sees the
-	// same deterministic fold order as one that waits for all of them.
-	// Callable only after scatter(src)'s completion is published.
+	// emitted for dst, in production order. Each chunk must be Loaded
+	// and then Released. Callable only after scatter(src)'s completion
+	// is published.
 	DrainFrom(dst, src int) []PendingChunk[U]
 	// Stats reports the cumulative spill tallies of the run.
 	Stats() TransportStats
@@ -68,9 +62,9 @@ type TransportStats struct {
 }
 
 // PendingChunk is one drained update chunk awaiting its gather fold.
-// Load materializes the typed records — a pure computation safe on any
-// goroutine, so drivers run it on the compute pool exactly like a chunk
-// decode — and Release returns the scratch to the kernel pools (and, for
+// Load materializes the typed records — a slice hand-back for a resident
+// chunk, a read and decode for a spilled one — and Release returns the
+// scratch to the kernel pools (and, for
 // the last spilled chunk of a drained bucket, reclaims the bucket's
 // spill-file space).
 type PendingChunk[U any] struct {
@@ -133,15 +127,6 @@ func (t *MemTransport[U]) Put(src, dst int, recs []UpdRec[U]) (int64, int) {
 // PendingBytes reports the encoded-equivalent bytes pending for dst.
 func (t *MemTransport[U]) PendingBytes(dst int) int64 {
 	return t.pending[dst].Load()
-}
-
-// Drain removes and returns dst's chunks in (src, chunk) order.
-func (t *MemTransport[U]) Drain(dst int) []PendingChunk[U] {
-	var out []PendingChunk[U]
-	for src := range t.buckets {
-		out = append(out, t.DrainFrom(dst, src)...)
-	}
-	return out
 }
 
 // DrainFrom removes and returns bucket (src, dst)'s chunks in

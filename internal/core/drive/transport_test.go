@@ -67,14 +67,17 @@ func chunkOf(base int, n int) []UpdRec[float32] {
 	return recs
 }
 
-// drainAll loads and releases every pending chunk of dst, returning the
-// concatenated record sequence (the fold order the gather path sees).
-func drainAll[U any](tr Transport[U], dst int) []UpdRec[U] {
+// drainAll drains dst's buckets from sources 0..np-1 in ascending order,
+// loading and releasing every chunk, and returns the concatenated record
+// sequence (the fold order the gather path sees).
+func drainAll[U any](tr Transport[U], np, dst int) []UpdRec[U] {
 	var seq []UpdRec[U]
-	for _, pc := range tr.Drain(dst) {
-		recs := pc.Load()
-		seq = append(seq, recs...)
-		pc.Release(recs)
+	for src := 0; src < np; src++ {
+		for _, pc := range tr.DrainFrom(dst, src) {
+			recs := pc.Load()
+			seq = append(seq, recs...)
+			pc.Release(recs)
+		}
 	}
 	return seq
 }
@@ -100,7 +103,7 @@ func TestMemTransportFoldOrder(t *testing.T) {
 	if got := tr.PendingBytes(1); got != int64(len(want))*int64(k.UpdBytes) {
 		t.Fatalf("PendingBytes = %d, want %d", got, int64(len(want))*int64(k.UpdBytes))
 	}
-	seq := drainAll[float32](tr, 1)
+	seq := drainAll[float32](tr, k.Layout.NumPartitions, 1)
 	if len(seq) != len(want) {
 		t.Fatalf("drained %d records, want %d", len(seq), len(want))
 	}
@@ -153,7 +156,7 @@ func TestSpillTransportRoundTrip(t *testing.T) {
 		t.Errorf("PendingBytes = %d, want %d", got, int64(len(want))*int64(k.UpdBytes))
 	}
 
-	seq := drainAll[float32](tr, 2)
+	seq := drainAll[float32](tr, k.Layout.NumPartitions, 2)
 	if len(seq) != len(want) {
 		t.Fatalf("drained %d records, want %d", len(seq), len(want))
 	}
@@ -178,9 +181,9 @@ func TestSpillTransportRoundTrip(t *testing.T) {
 
 // TestStreamingDrainFoldOrder pins the DrainFrom contract on both
 // transports: consuming source by source — interleaved with later
-// sources still producing, the pipelined phase layout — yields exactly
-// the (source partition, chunk production) record sequence a full Drain
-// would, and PendingBytes tracks the undrained remainder atomically.
+// sources still producing, as the pipelined phases do — yields exactly
+// the (source partition, chunk production) record sequence, and
+// PendingBytes tracks the undrained remainder atomically.
 // The spilling arm runs under a budget that spills part of src 0's
 // bucket, so the drained sequence interleaves a spilled prefix with the
 // resident tail mid-stream.
@@ -277,7 +280,7 @@ func TestSpillTransportPartialSpill(t *testing.T) {
 	if st := tr.Stats(); st.SpillBytes == 0 {
 		t.Fatal("budget was never exceeded; test is vacuous")
 	}
-	seq := drainAll[float32](tr, 1)
+	seq := drainAll[float32](tr, k.Layout.NumPartitions, 1)
 	if len(seq) != len(want) {
 		t.Fatalf("drained %d records, want %d", len(seq), len(want))
 	}

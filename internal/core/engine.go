@@ -80,13 +80,6 @@ type engine[V, U, A any] struct {
 	// Optional model extensions (§6.1 footnote, §11.1).
 	combiner gas.Combiner[U]
 	rewriter gas.EdgeRewriter[V]
-
-	// Compute offload (see parallel.go): the worker pool, the per-stream
-	// pre-dispatched chunk tasks (scratch pools live on the kernel). The
-	// maps are touched only from simulation context.
-	pool           *workerPool
-	scatterStreams map[int]*streamTasks[scatterChunk[U]]
-	gatherStreams  map[int]*streamTasks[gatherChunk[U]]
 }
 
 // Run executes prog over the given unsorted edge list on the configured
@@ -137,17 +130,15 @@ func newEngine[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges []graph
 	env := sim.NewEnv(cfg.Seed)
 	clu := cluster.New(env, cfg.Spec)
 	eng := &engine[V, U, A]{
-		cfg:            cfg,
-		prog:           prog,
-		layout:         layout,
-		env:            env,
-		clu:            clu,
-		run:            metrics.NewRun(prog.Name(), cfg.Spec.Machines),
-		ckptPending:    make(map[int][][]byte),
-		ckptVerts:      make(map[int][][]byte),
-		ckptIter:       -1,
-		scatterStreams: make(map[int]*streamTasks[scatterChunk[U]]),
-		gatherStreams:  make(map[int]*streamTasks[gatherChunk[U]]),
+		cfg:         cfg,
+		prog:        prog,
+		layout:      layout,
+		env:         env,
+		clu:         clu,
+		run:         metrics.NewRun(prog.Name(), cfg.Spec.Machines),
+		ckptPending: make(map[int][][]byte),
+		ckptVerts:   make(map[int][][]byte),
+		ckptIter:    -1,
 	}
 	eng.decision.rollbackTo = -1
 	eng.kern = drive.NewKernel(prog, layout)
@@ -213,12 +204,8 @@ func newEngine[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges []graph
 	return eng, nil
 }
 
-// execute drives the simulation to completion. The compute pool exists
-// only for the duration of the run; close drains every dispatched task,
-// so a failed run never leaks worker goroutines.
+// execute drives the simulation to completion.
 func (eng *engine[V, U, A]) execute() error {
-	eng.pool = newWorkerPool(eng.cfg.ComputeWorkers)
-	defer eng.pool.Close()
 	eng.env.Run()
 	if stuck := eng.env.Stuck(); len(stuck) > 0 {
 		eng.env.Close()

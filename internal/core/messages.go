@@ -21,19 +21,15 @@ type chunkReq struct {
 	replyTo *sim.Mailbox
 }
 
-// chunkReply carries one chunk back, or empty=true when the storage engine
-// has no unconsumed chunks left for that partition this iteration. The
-// chunk is identified by its cursor index on the serving store; its bytes
-// were pre-read when the stream's compute tasks were dispatched, so data
-// is populated only on the defensive fallback path.
+// chunkReply carries one chunk's bytes back, or empty=true when the
+// storage engine has no unconsumed chunks left for that partition this
+// iteration.
 type chunkReply struct {
-	kind   storage.SetKind
-	part   int
-	from   int
-	idx    int
-	length int
-	data   []byte
-	empty  bool
+	kind  storage.SetKind
+	part  int
+	from  int
+	data  []byte
+	empty bool
 }
 
 // writeChunk appends a chunk of edges or updates on a storage engine and

@@ -22,9 +22,9 @@
 // varies with host scheduling, but partition processing is
 // order-independent by the same GAS argument the paper relies on, so
 // only the steal counters are scheduling-dependent. Pipelining the
-// scatter→gather boundary (the default; see Config.PhaseBarrier) keeps
-// that argument intact because the fold order, not the phase order, is
-// what the float folds see.
+// scatter→gather boundary keeps that argument intact because the fold
+// order, not the phase order, is what the float folds see. Kernels and
+// folds run inline on the machine goroutine that claimed the partition.
 package native
 
 import (
@@ -73,7 +73,6 @@ type run[V, U, A any] struct {
 	prog   gas.Program[V, U, A]
 	kern   *drive.Kernel[V, U, A]
 	layout *partition.Layout
-	pool   *drive.Pool
 	nm     int
 
 	// The resident vertex store. verts[p] holds partition p's decoded
@@ -101,8 +100,8 @@ type run[V, U, A any] struct {
 
 	// Per-phase partition ownership tables: masters claim their own
 	// partitions first, idle machines steal the rest through the §5.4
-	// criterion. Two tables because the pipelined layout runs both
-	// phases of one iteration concurrently.
+	// criterion. Two tables because both phases of one iteration run
+	// concurrently.
 	scatterClaimed []atomic.Bool
 	gatherClaimed  []atomic.Bool
 	// scatterDone[p] closes when scatter(p) completes; remade each
@@ -141,11 +140,12 @@ type run[V, U, A any] struct {
 	// hooks run on the single simulation thread under the DES driver,
 	// so programs are free to keep private state in them (MCST's
 	// component forest does). Scatter/Gather/Combine/RewriteEdge run
-	// concurrently here exactly as they do on the DES driver's worker
-	// pool. Pipelining preserves the contract Apply additionally relies
-	// on — running strictly after every scatter of its iteration —
-	// because gather(p) waits on all np scatterDone channels before its
-	// Apply (see gatherPartition).
+	// concurrently here, one partition per machine goroutine; they are
+	// pure per-chunk functions of phase-stable inputs. Pipelining
+	// preserves the contract Apply additionally relies on — running
+	// strictly after every scatter of its iteration — because gather(p)
+	// waits on all np scatterDone channels before its Apply (see
+	// gatherPartition).
 	applyMu sync.Mutex
 
 	// Checkpoint state (2-phase, §6.6): encoded shadow chunks staged per
@@ -261,8 +261,6 @@ func (r *run[V, U, A]) execute(edges []graph.Edge) (interrupted bool, err error)
 	// These are the only two sanctioned clock reads in the deterministic
 	// packages; chaos-vet's wallclock analyzer enforces that.
 	r.start = time.Now() //chaos:wallclock-ok native plane measures wall time by design
-	r.pool = drive.NewPool(r.cfg.ComputeWorkers)
-	defer r.pool.Close()
 	// Closing the transport removes any spill files, on every exit path:
 	// completion, interrupt, and rollback alike (update sets are fully
 	// consumed by the gather preceding each decision point, so nothing
@@ -348,32 +346,19 @@ func (r *run[V, U, A]) checkpointDue(iter int) bool {
 // point still needs one barrier; pipelining removes the mid-iteration
 // one).
 //
-// Pipelined layout (the default): each of the nm machine goroutines runs
-// scatter over its own partitions, closes each partition's scatterDone
-// as it finishes, sweeps for scatter steals, then moves straight into
-// gather — its gathers fold each source's chunks as that source's
-// channel closes, overlapping with other machines' still-running
-// scatters. No goroutine ever blocks before finishing its scatter stage,
-// so every scatterDone channel is guaranteed to close and the gather
-// waits cannot deadlock.
-//
-// Barrier layout (Config.PhaseBarrier): the classic two-phase schedule —
-// all scatters, one wg.Wait, all gathers — for A/B measurement and as
-// the conservative fallback. The gather path is identical (the channel
-// waits are free once every channel is closed), so the two layouts
-// produce bit-identical values by construction: the per-bucket fold
-// order is pinned either way.
+// Each of the nm machine goroutines runs scatter over its own
+// partitions, closes each partition's scatterDone as it finishes, sweeps
+// for scatter steals, then moves straight into gather — its gathers
+// fold each source's chunks as that source's channel closes, overlapping
+// with other machines' still-running scatters. No goroutine ever blocks
+// before finishing its scatter stage, so every scatterDone channel is
+// guaranteed to close and the gather waits cannot deadlock.
 func (r *run[V, U, A]) runIteration(iter int) {
 	np := r.layout.NumPartitions
 	for i := 0; i < np; i++ {
 		r.scatterClaimed[i].Store(false)
 		r.gatherClaimed[i].Store(false)
 		r.scatterDone[i] = make(chan struct{})
-	}
-	if r.cfg.PhaseBarrier {
-		r.runStage(iter, scatterPhase)
-		r.runStage(iter, gatherPhase)
-		return
 	}
 	var wg sync.WaitGroup
 	wg.Add(r.nm)
@@ -387,24 +372,6 @@ func (r *run[V, U, A]) runIteration(iter int) {
 		}(m)
 	}
 	wg.Wait()
-}
-
-// runStage runs one phase to completion across all machines (the
-// barrier layout's building block).
-func (r *run[V, U, A]) runStage(iter int, ph phaseKind) {
-	var wg sync.WaitGroup
-	wg.Add(r.nm)
-	for m := 0; m < r.nm; m++ {
-		go func(m int) {
-			defer wg.Done()
-			r.ownPartitions(iter, m, ph)
-			r.stealSweep(iter, m, ph)
-		}(m)
-	}
-	wg.Wait()
-	// Every partition is claimed at this point: layout.PartitionsOf
-	// covers all partitions across machines 0..nm-1, and each master
-	// claims its own unconditionally in ownPartitions.
 }
 
 // ownPartitions claims and processes machine m's own partitions, in
@@ -424,7 +391,7 @@ func (r *run[V, U, A]) ownPartitions(iter, m int, ph phaseKind) {
 // §5.4 criterion accepts. The criterion's D is read live — the edge set
 // is immutable within an iteration and the transport's PendingBytes is a
 // single atomic — so the sweep needs no phase-start snapshot and stays
-// correct while producers are still running (the pipelined layout).
+// correct while producers are still running.
 func (r *run[V, U, A]) stealSweep(iter, m int, ph phaseKind) {
 	if r.cfg.Alpha == 0 || r.nm <= 1 {
 		return

@@ -445,47 +445,7 @@ func TestNativeRejectsCentralDirectory(t *testing.T) {
 	}
 }
 
-// TestNativeBarrierPipelinedEquivalence runs the same seed under the
-// streaming pipeline (default) and the two-barrier phase layout
-// (Config.PhaseBarrier) and requires bit-identical values plus identical
-// deterministic counters. Steal counters are excluded: they are
-// scheduling-dependent under both layouts. Always-steal at m=8
-// maximizes cross-machine interleaving, so a fold-order break in the
-// pipeline would show up as float drift here. The CHAOS_NATIVE_SPILL_
-// BUDGET rerun exercises the same pair with real spill traffic — the
-// byte counters still agree because a chunk's encoded-equivalent size
-// is the same spilled or resident.
-func TestNativeBarrierPipelinedEquivalence(t *testing.T) {
-	edges, n := rmatEdges(8, false, 21)
-	pipelined := cfg(8, n, 8)
-	pipelined.Alpha = math.Inf(1)
-	pipelined.CheckpointEvery = 2
-	barrier := pipelined
-	barrier.PhaseBarrier = true
-	v1, run1, err := native.Run(pipelined, &algorithms.PageRank{Iterations: 5}, edges, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, run2, err := native.Run(barrier, &algorithms.PageRank{Iterations: 5}, edges, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(v1, v2) {
-		t.Error("pipelined and barrier layouts produced different values")
-	}
-	if run1.Iterations != run2.Iterations {
-		t.Errorf("iterations: pipelined %d, barrier %d", run1.Iterations, run2.Iterations)
-	}
-	if run1.BytesRead != run2.BytesRead || run1.BytesWritten != run2.BytesWritten {
-		t.Errorf("byte tallies diverged: pipelined (%d, %d), barrier (%d, %d)",
-			run1.BytesRead, run1.BytesWritten, run2.BytesRead, run2.BytesWritten)
-	}
-	if run1.CheckpointBytes != run2.CheckpointBytes {
-		t.Errorf("checkpoint bytes: pipelined %d, barrier %d", run1.CheckpointBytes, run2.CheckpointBytes)
-	}
-}
-
-// TestNativeStealingOnStreamedPath drives the pipelined layout with
+// TestNativeStealingOnStreamedPath drives the pipelined phases with
 // stealing fully on (alpha = infinity, m=8, so gather steals overlap
 // running scatters) and checks results against the reference — under
 // -race in CI, this is the pipeline's data-race harness.
@@ -505,24 +465,5 @@ func TestNativeStealingOnStreamedPath(t *testing.T) {
 	}
 	if run.StealsAccepted == 0 {
 		t.Error("always-steal run accepted no steals; the streamed steal path went unexercised")
-	}
-}
-
-func TestNativeComputeWorkersDoNotChangeResults(t *testing.T) {
-	edges, n := rmatEdges(7, false, 19)
-	serial := cfg(2, n, 8)
-	serial.ComputeWorkers = 1
-	pooled := serial
-	pooled.ComputeWorkers = 8
-	v1, _, err := native.Run(serial, &algorithms.PageRank{Iterations: 5}, edges, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, _, err := native.Run(pooled, &algorithms.PageRank{Iterations: 5}, edges, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(v1, v2) {
-		t.Error("native results differ across compute worker counts")
 	}
 }

@@ -178,12 +178,11 @@ func storedBytes(chunks [][]byte) int64 {
 }
 
 // ---------------------------------------------------------------------------
-// Scatter phase (§5.1): stream the partition's edge chunks, run the
-// shared typed scatter kernel on the compute pool over the resident
-// vertex values, and merge each chunk's result — in the deterministic
-// chunk order — into the update transport: record slices move into the
-// per-(src, dst) buckets zero-copy, and only a spilling transport ever
-// encodes them.
+// Scatter phase (§5.1): stream the partition's edge chunks in order, run
+// the shared typed scatter kernel over the resident vertex values, and
+// merge each chunk's result into the update transport as it goes: record
+// slices move into the per-(src, dst) buckets zero-copy, and only a
+// spilling transport ever encodes them.
 
 func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 	kern := r.kern
@@ -191,24 +190,6 @@ func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 	var bytesIn, bytesOut int64
 	verts := r.verts[p]
 	chunks := r.edges[p]
-
-	// Dispatch every chunk's pure kernel to the shared pool, then merge
-	// in chunk order (the same dispatch-then-join pattern as the DES
-	// driver's pre-read streams).
-	type scatterChunk struct {
-		drive.Task
-		out drive.ScatterOut[U]
-	}
-	tasks := make([]*scatterChunk, len(chunks))
-	for i, data := range chunks {
-		sc := &scatterChunk{}
-		data := data
-		sc.Fn = func() { kern.ScatterChunkTyped(iter, p, verts, data, &sc.out) }
-		tasks[i] = sc
-		r.pool.Submit(&sc.Task)
-		r.bytesRead.Add(int64(len(data)))
-		bytesIn += int64(len(data))
-	}
 
 	combined := r.combined // nil unless combining
 	var combinedPer int
@@ -220,13 +201,14 @@ func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 	}
 	var nextTail []byte
 	edgeLimit := drive.SpillLimit(r.cfg.ChunkBytes, kern.EdgeFmt.EdgeSize())
-	mergeT0 := r.elapsed()
 	var spillBytes int64
 	var spillChunks int
 
-	for _, sc := range tasks {
-		sc.Wait()
-		out := &sc.out
+	for _, data := range chunks {
+		r.bytesRead.Add(int64(len(data)))
+		bytesIn += int64(len(data))
+		var out drive.ScatterOut[U]
+		kern.ScatterChunkTyped(iter, p, verts, data, &out)
 		if kern.Rewriter != nil && len(out.EdgesNext) > 0 {
 			bytesOut += int64(len(out.EdgesNext))
 			nextTail = r.appendSpill(&r.edgesNext[p], nextTail, out.EdgesNext, edgeLimit)
@@ -270,7 +252,7 @@ func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 			spillBytes += sb
 			spillChunks += sn
 		}
-		kern.ReleaseScatterOut(out)
+		kern.ReleaseScatterOut(&out)
 	}
 
 	// Flush the remaining combined updates at phase end.
@@ -290,7 +272,7 @@ func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 	if spillChunks > 0 && r.cfg.Trace != nil {
 		r.cfg.Trace(drive.Span{
 			Iter: iter, Machine: mach, Part: p, Phase: drive.PhaseSpill, Stolen: stolen,
-			Start: int64(mergeT0), Dur: int64(r.elapsed() - mergeT0),
+			Start: int64(t0), Dur: int64(r.elapsed() - t0),
 			Chunks: spillChunks, BytesOut: spillBytes,
 		})
 	}
@@ -373,49 +355,22 @@ func (r *run[V, U, A]) gatherPartition(iter, mach, p int, stolen bool) {
 	// Stream the transport's chunks for this partition source by source:
 	// wait for each source's scatter-completion signal, drain its bucket
 	// (the streaming edge of the pipeline — in the pinned (source
-	// partition, chunk) order, sources ascending), and dispatch each
-	// chunk's Load to the pool (a slice hand-back for resident chunks, a
-	// read+decode for spilled ones), with the fold into this partition's
-	// accumulators chained behind it in that same order — the DES
-	// driver's exact gather pattern, minus the global barrier. Folds are
-	// the bulk of gather compute, so running them as pool tasks keeps
-	// native jobs inside the scheduler's shared compute budget instead
-	// of doing the heavy lifting on unbudgeted machine goroutines. The
-	// channel waits are on this machine goroutine, never on pool
-	// workers, so the pool cannot deadlock on them. Under
-	// Config.PhaseBarrier every channel is already closed and the loop
-	// degenerates to the classic full drain.
-	type gatherChunk struct {
-		drive.Task
-		recs []drive.UpdRec[U]
-	}
-	var tail *drive.Task
+	// partition, chunk) order, sources ascending), and load and fold each
+	// chunk in place (a slice hand-back for resident chunks, a
+	// read+decode for spilled ones).
 	for src := 0; src < r.layout.NumPartitions; src++ {
 		<-r.scatterDone[src]
-		pending := r.tr.DrainFrom(p, src)
-		for i := range pending {
-			pc := &pending[i]
-			gc := &gatherChunk{}
-			gc.Fn = func() { gc.recs = pc.Load() }
-			r.pool.Submit(&gc.Task)
+		for _, pc := range r.tr.DrainFrom(p, src) {
 			r.bytesRead.Add(pc.Bytes)
 			nchunks++
 			bytesIn += pc.Bytes
-			ft := &drive.Task{Prev: tail, Fn: func() {
-				gc.Wait() // load complete
-				for i := range gc.recs {
-					u := &gc.recs[i]
-					accums[u.Dst-lo] = r.prog.Gather(accums[u.Dst-lo], u.Val, &verts[u.Dst-lo])
-				}
-				pc.Release(gc.recs)
-				gc.recs = nil
-			}}
-			r.pool.Submit(ft)
-			tail = ft
+			recs := pc.Load()
+			for i := range recs {
+				u := &recs[i]
+				accums[u.Dst-lo] = r.prog.Gather(accums[u.Dst-lo], u.Val, &verts[u.Dst-lo])
+			}
+			pc.Release(recs)
 		}
-	}
-	if tail != nil {
-		tail.Wait()
 	}
 	if r.cfg.Trace != nil {
 		r.cfg.Trace(drive.Span{
@@ -429,7 +384,7 @@ func (r *run[V, U, A]) gatherPartition(iter, mach, p int, stolen bool) {
 	// Apply (serialized across partitions; see applyMu). The source loop
 	// above waited on all NumPartitions scatterDone channels, so Apply —
 	// which mutates the resident values scatters read — still runs
-	// strictly after every scatter of this iteration, pipelined or not.
+	// strictly after every scatter of this iteration.
 	r.applyMu.Lock()
 	var changed uint64
 	for i := range verts {

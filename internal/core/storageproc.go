@@ -32,23 +32,16 @@ func (eng *engine[V, U, A]) storageProc(p *sim.Proc, id int) {
 	for {
 		switch m := inbox.Recv(p).(type) {
 		case chunkReq:
-			idx, length, ok := st.ConsumeChunk(m.kind, m.part)
-			reply := chunkReply{kind: m.kind, part: m.part, from: id, idx: idx, length: length, empty: !ok}
-			if ok {
-				dev.Use(p, int64(length))
-				eng.run.BytesRead += int64(length)
-				if !eng.hasChunkTask(m.kind, m.part, id, idx) {
-					// No pre-dispatched compute task covers this chunk
-					// (defensive; the streamers always build the task set
-					// first): ship the bytes for inline processing.
-					data, err := st.ReadChunkAt(m.kind, m.part, idx)
-					if err != nil {
-						panic(fmt.Sprintf("core: storage %d: %v", id, err))
-					}
-					reply.data = data
-				}
+			data, ok, err := st.NextChunk(m.kind, m.part)
+			if err != nil {
+				panic(fmt.Sprintf("core: storage %d: %v", id, err))
 			}
-			eng.clu.Send(id, m.from, int64(length)+controlMsgBytes, m.replyTo, reply)
+			if ok {
+				dev.Use(p, int64(len(data)))
+				eng.run.BytesRead += int64(len(data))
+			}
+			eng.clu.Send(id, m.from, int64(len(data))+controlMsgBytes, m.replyTo,
+				chunkReply{kind: m.kind, part: m.part, from: id, data: data, empty: !ok})
 		case writeChunk:
 			if err := st.PutChunk(m.kind, m.part, m.data); err != nil {
 				panic(fmt.Sprintf("core: storage %d: %v", id, err))

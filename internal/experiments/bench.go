@@ -34,14 +34,13 @@ type BenchArm struct {
 type BenchRecord struct {
 	Experiment string `json:"experiment"`
 	Scale      string `json:"scale"`
-	// GoMaxProcs and ComputeWorkers identify the host parallelism the
-	// wall-clock numbers were measured under (compute_workers 0 means
-	// GOMAXPROCS; simulated numbers are identical for every value).
-	GoMaxProcs     int        `json:"gomaxprocs"`
-	ComputeWorkers int        `json:"compute_workers"`
-	WallSeconds    float64    `json:"wall_seconds"`
-	GeneratedAt    string     `json:"generated_at"`
-	Arms           []BenchArm `json:"arms"`
+	// GoMaxProcs identifies the host parallelism the wall-clock numbers
+	// were measured under (simulated numbers are identical for every
+	// value).
+	GoMaxProcs  int        `json:"gomaxprocs"`
+	WallSeconds float64    `json:"wall_seconds"`
+	GeneratedAt string     `json:"generated_at"`
+	Arms        []BenchArm `json:"arms"`
 	// NativeBeatsDES is set by the native-vs-DES experiment: true when
 	// the native plane's summed wall-clock was at or under the DES
 	// driver's on the same graphs (the CI bench smoke asserts it).
@@ -53,11 +52,10 @@ type BenchRecord struct {
 // newBenchRecord starts a record for the given experiment at this scale.
 func (s Scale) newBenchRecord(experiment string) *BenchRecord {
 	return &BenchRecord{
-		Experiment:     experiment,
-		Scale:          s.Name,
-		GoMaxProcs:     runtime.GOMAXPROCS(0),
-		ComputeWorkers: s.ComputeWorkers,
-		GeneratedAt:    time.Now().UTC().Format(time.RFC3339),
+		Experiment:  experiment,
+		Scale:       s.Name,
+		GoMaxProcs:  runtime.GOMAXPROCS(0),
+		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 	}
 }
 

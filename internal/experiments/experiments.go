@@ -47,10 +47,6 @@ type Scale struct {
 	// BenchDir, when set, makes experiments that support it write
 	// BENCH_<experiment>.json records there (chaos-bench -bench-json).
 	BenchDir string
-	// ComputeWorkers bounds the engine's host worker pool (0 =
-	// GOMAXPROCS); chaos-bench -workers. Simulated results are identical
-	// for every value, only wall-clock changes.
-	ComputeWorkers int
 }
 
 // Lab is the default laboratory scale, calibrated so that chunk counts per
@@ -89,7 +85,6 @@ func (s Scale) options(m int, n uint64) chaos.Options {
 		ChunkBytes:     s.ChunkBytes,
 		MemBudgetBytes: budget,
 		LatencyScale:   float64(s.ChunkBytes) / float64(4<<20),
-		ComputeWorkers: s.ComputeWorkers,
 		Seed:           1,
 	}
 }

@@ -29,8 +29,7 @@ func NativeVsDES(w io.Writer, s Scale) error {
 
 	des := BenchArm{Name: "des"}
 	nat := BenchArm{Name: "native"}
-	bar := BenchArm{Name: "native-barrier"}
-	var desWall, natWall, barWall float64
+	var desWall, natWall float64
 	for _, m := range s.Machines {
 		opt := s.options(m, n)
 
@@ -59,32 +58,8 @@ func NativeVsDES(w io.Writer, s Scale) error {
 		nat.SimulatedSeconds = append(nat.SimulatedSeconds, 0) // no virtual clock
 		nat.WallSecondsPerPoint = append(nat.WallSecondsPerPoint, wall)
 		natWall += wall
-
-		// The same native run under the barrier-per-phase layout: the
-		// A/B pair that prices the streamed scatter→gather boundary.
-		// Values are bit-identical; only the phase schedule differs.
-		opt.NativeBarrier = true
-		t0 = time.Now()
-		if _, err := chaos.RunByName(alg, edges, n, opt); err != nil {
-			return err
-		}
-		wall = time.Since(t0).Seconds()
-		bar.Machines = append(bar.Machines, m)
-		bar.SimulatedSeconds = append(bar.SimulatedSeconds, 0)
-		bar.WallSecondsPerPoint = append(bar.WallSecondsPerPoint, wall)
-		barWall += wall
 	}
-	des.WallSeconds, nat.WallSeconds, bar.WallSeconds = desWall, natWall, barWall
-	// The pipelined layout is the default because it wins (or at worst
-	// ties) the barrier layout: fail loudly if it loses past a noise
-	// envelope, so a regression that makes streaming a pessimization
-	// cannot hide inside a green record. The envelope is generous —
-	// single-core quick runs measure scheduler noise, and the pipeline's
-	// overlap only pays off with real parallelism — but an inversion
-	// past 25%+0.5s is structural, not noise.
-	if natWall > barWall*1.25+0.5 {
-		return fmt.Errorf("experiments: pipelined native plane lost to the barrier layout (%.3fs vs %.3fs)", natWall, barWall)
-	}
+	des.WallSeconds, nat.WallSeconds = desWall, natWall
 
 	// Out-of-core arms: the native plane once more over a graph big
 	// enough that a 1 MiB update budget forces real spill-file traffic,
@@ -135,13 +110,10 @@ func NativeVsDES(w io.Writer, s Scale) error {
 	xAxis(w, "machines", des.Machines)
 	series(w, "des wall s", des.Machines, des.WallSecondsPerPoint, "%8.3f")
 	series(w, "native wall s", nat.Machines, nat.WallSecondsPerPoint, "%8.3f")
-	series(w, "barrier wall s", bar.Machines, bar.WallSecondsPerPoint, "%8.3f")
 	series(w, "des simulated s", des.Machines, des.SimulatedSeconds, "%8.3f")
 	if natWall > 0 {
 		fmt.Fprintf(w, "  native speedup  %.1fx on host wall-clock (%.3fs vs %.3fs)\n",
 			desWall/natWall, natWall, desWall)
-		fmt.Fprintf(w, "  pipeline vs barrier  %.2fx (%.3fs pipelined vs %.3fs barrier)\n",
-			barWall/natWall, natWall, barWall)
 	}
 	fmt.Fprintf(w, "  results identical up to float fold order; simulated figures remain DES-only\n")
 	fmt.Fprintf(w, "  out-of-core (RMAT-%d, 1 MiB update budget):\n", oocScale)
@@ -152,8 +124,8 @@ func NativeVsDES(w io.Writer, s Scale) error {
 			oocWall/fastWall, oocWall, fastWall)
 	}
 
-	rec.Arms = []BenchArm{des, nat, bar, fast, ooc}
-	rec.WallSeconds = desWall + natWall + barWall + fastWall + oocWall
+	rec.Arms = []BenchArm{des, nat, fast, ooc}
+	rec.WallSeconds = desWall + natWall + fastWall + oocWall
 	verdict := natWall <= desWall
 	rec.NativeBeatsDES = &verdict
 	return s.emitBench(rec)

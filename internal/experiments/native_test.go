@@ -9,9 +9,9 @@ import (
 )
 
 // TestNativeVsDESEmitsRecord runs the native-vs-DES comparison at quick
-// scale and validates the emitted BENCH_native.json: five arms over the
-// same machine axis (des/native/native-barrier on the strong-scale
-// graph, the zero-copy/oocore transport pair on the larger out-of-core
+// scale and validates the emitted BENCH_native.json: four arms over the
+// same machine axis (des/native on the strong-scale graph, the
+// zero-copy/oocore transport pair on the larger out-of-core
 // graph), per-point wall-clock populated, spill traffic recorded only
 // on the budgeted arm, and the native plane at or under the DES
 // driver's wall-clock (the margin is structural — the DES serializes
@@ -31,13 +31,13 @@ func TestNativeVsDESEmitsRecord(t *testing.T) {
 	if err := json.Unmarshal(data, &rec); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Experiment != "native" || len(rec.Arms) != 5 {
+	if rec.Experiment != "native" || len(rec.Arms) != 4 {
 		t.Fatalf("record shape wrong: %+v", rec)
 	}
-	des, nat, bar, fast, ooc := rec.Arms[0], rec.Arms[1], rec.Arms[2], rec.Arms[3], rec.Arms[4]
-	if des.Name != "des" || nat.Name != "native" || bar.Name != "native-barrier" ||
+	des, nat, fast, ooc := rec.Arms[0], rec.Arms[1], rec.Arms[2], rec.Arms[3]
+	if des.Name != "des" || nat.Name != "native" ||
 		fast.Name != "native-zerocopy" || ooc.Name != "oocore" {
-		t.Fatalf("arm names %q, %q, %q, %q, %q", des.Name, nat.Name, bar.Name, fast.Name, ooc.Name)
+		t.Fatalf("arm names %q, %q, %q, %q", des.Name, nat.Name, fast.Name, ooc.Name)
 	}
 	for _, a := range rec.Arms {
 		if len(a.Machines) != len(s.Machines) {
@@ -50,7 +50,7 @@ func TestNativeVsDESEmitsRecord(t *testing.T) {
 			t.Fatalf("arm %s wall total not measured: %g", a.Name, a.WallSeconds)
 		}
 	}
-	for _, a := range []BenchArm{nat, bar, fast, ooc} {
+	for _, a := range []BenchArm{nat, fast, ooc} {
 		for i, ss := range a.SimulatedSeconds {
 			if ss != 0 {
 				t.Errorf("%s arm point %d claims simulated seconds %g", a.Name, i, ss)
@@ -66,7 +66,7 @@ func TestNativeVsDESEmitsRecord(t *testing.T) {
 			t.Errorf("oocore arm point %d did not spill", i)
 		}
 	}
-	for _, a := range []BenchArm{des, nat, bar, fast} {
+	for _, a := range []BenchArm{des, nat, fast} {
 		if len(a.SpillBytesPerPoint) != 0 {
 			t.Errorf("arm %s carries spill bytes: %v", a.Name, a.SpillBytesPerPoint)
 		}

@@ -664,59 +664,3 @@ func TestJobEventsSSE(t *testing.T) {
 		t.Errorf("events for unknown job: %d, want 404", resp3.StatusCode)
 	}
 }
-
-// TestComputeBudgetShares: the scheduler divides its compute budget by
-// the concurrency a starting job will see — a lone job on an idle pool
-// gets the whole budget, while jobs started out of a burst divide it
-// by the pool size, so the shares of a loaded pool sum to at most the
-// budget instead of every job taking GOMAXPROCS.
-func TestComputeBudgetShares(t *testing.T) {
-	g := newGate()
-	s := NewScheduler(SchedulerConfig{Workers: 2, ComputeBudget: 8}, g.run)
-	defer func() {
-		close(g.release)
-		s.Shutdown(context.Background())
-	}()
-
-	// A lone job on an idle pool: the whole budget.
-	a, _ := s.Submit("g", "PR", chaos.Options{Seed: 1})
-	waitFor(t, "first job running", func() bool {
-		jv, _ := s.Get(a.ID)
-		return jv.State == JobRunning
-	})
-	// A job starting beside it divides by the pool's concurrency.
-	b, _ := s.Submit("g", "PR", chaos.Options{Seed: 2})
-	waitFor(t, "second job running", func() bool {
-		jv, _ := s.Get(b.ID)
-		return jv.State == JobRunning
-	})
-	// Backlog counts toward anticipated concurrency: jobs queued behind
-	// a full pool will also start with the divided share.
-	c, _ := s.Submit("g", "PR", chaos.Options{Seed: 3})
-	d, _ := s.Submit("g", "PR", chaos.Options{Seed: 4})
-	g.release <- struct{}{} // finish one running job; a queued one starts
-	g.release <- struct{}{}
-	waitFor(t, "backlog jobs running", func() bool {
-		cv, _ := s.Get(c.ID)
-		dv, _ := s.Get(d.ID)
-		return cv.State == JobRunning && dv.State == JobRunning
-	})
-
-	s.mu.Lock()
-	shareA := s.jobs[a.ID].computeShare
-	shareB := s.jobs[b.ID].computeShare
-	shareC := s.jobs[c.ID].computeShare
-	shareD := s.jobs[d.ID].computeShare
-	s.mu.Unlock()
-	if shareA != 8 {
-		t.Errorf("lone job's share = %d, want the whole budget 8", shareA)
-	}
-	if shareB != 4 {
-		t.Errorf("second job's share = %d, want 8/2 = 4", shareB)
-	}
-	// C and D each started with the pool saturated: 8/2 = 4 apiece, so
-	// the concurrently running shares sum to the budget.
-	if shareC != 4 || shareD != 4 {
-		t.Errorf("backlog shares = %d/%d, want 4/4 (sum within the budget)", shareC, shareD)
-	}
-}

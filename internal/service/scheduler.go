@@ -83,9 +83,6 @@ type Job struct {
 	// safe for concurrent use, so reading it mid-run is fine: the trace
 	// of a running job is simply a prefix.
 	trace atomic.Pointer[chaos.TraceRecorder]
-	// computeShare is this job's slice of the scheduler's shared
-	// compute-worker budget, fixed when the job starts (0 = unmanaged).
-	computeShare int
 
 	// Trace state (all guarded by s.mu; see trace.go). traceID roots the
 	// job's causal trace; spans is the journaled lifecycle span list
@@ -204,10 +201,6 @@ type Scheduler struct {
 	workers  int
 	retain   int // finished jobs kept in history
 	maxQueue int // queued-job bound (0 = unbounded)
-	// computeBudget is the shared pool of engine compute workers divided
-	// across running jobs (0 = unmanaged: every job defaults to
-	// GOMAXPROCS, oversubscribing the host N×).
-	computeBudget int
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -308,17 +301,6 @@ type SchedulerConfig struct {
 	// Submit past it returns *QueueFullError so the HTTP layer can
 	// answer 429 with Retry-After. 0 = unbounded.
 	MaxQueue int
-	// ComputeBudget is the total engine compute workers shared across
-	// running jobs: a job that does not pin Options.ComputeWorkers
-	// starts with the budget divided by the concurrency it will see
-	// (running + backlog, capped at Workers), so a lone job gets the
-	// whole budget and a burst's shares sum to at most the budget —
-	// except that every job keeps a floor of one worker, so a pool
-	// wider than the budget still runs Workers jobs at one worker each.
-	// Without the budget every job defaults to GOMAXPROCS, and N
-	// concurrent jobs oversubscribe the host N×. 0 = unmanaged (the
-	// old behavior).
-	ComputeBudget int
 }
 
 // NewScheduler starts a pool of workers feeding jobs through run.
@@ -327,16 +309,15 @@ func NewScheduler(cfg SchedulerConfig, run runFunc) *Scheduler {
 		cfg.Retain = 10000
 	}
 	s := &Scheduler{
-		run:           run,
-		workers:       cfg.Workers,
-		retain:        cfg.Retain,
-		maxQueue:      cfg.MaxQueue,
-		computeBudget: cfg.ComputeBudget,
-		jobs:          make(map[string]*Job),
-		byTrace:       make(map[string]string),
-		counts:        make(map[string]int),
-		engines:       make(map[string]int),
-		events:        newEventHub(),
+		run:      run,
+		workers:  cfg.Workers,
+		retain:   cfg.Retain,
+		maxQueue: cfg.MaxQueue,
+		jobs:     make(map[string]*Job),
+		byTrace:  make(map[string]string),
+		counts:   make(map[string]int),
+		engines:  make(map[string]int),
+		events:   newEventHub(),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(cfg.Workers)
@@ -715,33 +696,6 @@ func (s *Scheduler) worker() {
 		j.cancel = cancel
 		s.running++
 		s.queued--
-		if s.computeBudget > 0 {
-			// Split the host compute budget across the concurrency this
-			// job will actually see: the jobs running now plus the backlog
-			// that will run beside it, capped at the pool size. A lone job
-			// on an idle pool gets the whole budget; a burst divides it so
-			// the shares of jobs started under load sum to at most the
-			// budget — instead of every job defaulting to GOMAXPROCS and
-			// oversubscribing the host N×. A simulation's pool is fixed at
-			// start, so shares are never rebalanced mid-run: a job started
-			// alone briefly overlaps later arrivals above the budget, and
-			// that is the accepted trade against idling the whole machine
-			// between bursts. ComputeWorkers only trades wall-clock —
-			// results are bit-identical for every value — so the share is
-			// free to vary run to run.
-			// s.queued, not the queue slice length: canceled jobs linger
-			// in the slice until popped and must not dilute the shares of
-			// jobs that will actually run.
-			concurrency := s.running + s.queued
-			if concurrency > s.workers {
-				concurrency = s.workers
-			}
-			if share := s.computeBudget / concurrency; share > 1 {
-				j.computeShare = share
-			} else {
-				j.computeShare = 1
-			}
-		}
 		s.noteLocked(j)
 		s.mu.Unlock()
 

@@ -110,16 +110,11 @@ type jobOptions struct {
 	ReplicateVertices bool    `json:"replicateVertices,omitempty"`
 	MaxIterations     int     `json:"maxIterations,omitempty"`
 	LatencyScale      float64 `json:"latencyScale,omitempty"`
-	ComputeWorkers    int     `json:"computeWorkers,omitempty"`
 	// Engine selects the execution plane: "sim" (default) or "native".
 	// Absent in pre-PR-5 journal records, which decode to "" and
 	// canonicalize to "sim" — the only engine that existed then.
 	Engine string `json:"engine,omitempty"`
-	// NativeBarrier restores the native engine's barrier-per-phase
-	// layout (default false = the streaming pipeline). Values are
-	// identical either way; the knob is for A/B measurement.
-	NativeBarrier bool  `json:"nativeBarrier,omitempty"`
-	Seed          int64 `json:"seed,omitempty"`
+	Seed   int64  `json:"seed,omitempty"`
 }
 
 // jobRequest is the POST /v1/jobs payload.
@@ -153,8 +148,6 @@ func (r jobRequest) resolve() (string, chaos.Options, error) {
 		ReplicateVertices: r.Options.ReplicateVertices,
 		MaxIterations:     r.Options.MaxIterations,
 		LatencyScale:      r.Options.LatencyScale,
-		ComputeWorkers:    r.Options.ComputeWorkers,
-		NativeBarrier:     r.Options.NativeBarrier,
 		Seed:              r.Options.Seed,
 	}
 	// The engine name is validated here so a typo fails the submission

@@ -60,7 +60,6 @@ func TestJobOptionsRoundTrip(t *testing.T) {
 			ReplicateVertices: true,
 			MaxIterations:     42,
 			LatencyScale:      0.25,
-			ComputeWorkers:    4,
 			Engine:            "native",
 			Seed:              99,
 		},
@@ -94,7 +93,6 @@ func TestJobOptionsRoundTrip(t *testing.T) {
 		ReplicateVertices: true,
 		MaxIterations:     42,
 		LatencyScale:      0.25,
-		ComputeWorkers:    4,
 		Engine:            chaos.EngineNative,
 		Seed:              99,
 	}

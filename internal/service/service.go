@@ -25,7 +25,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
@@ -55,14 +54,6 @@ type Config struct {
 	// queue without bound. Submissions past it fail with *QueueFullError
 	// (HTTP 429 + Retry-After). 0 = unbounded.
 	MaxQueue int
-	// ComputeBudget is the total engine compute workers shared across
-	// concurrently running jobs (default GOMAXPROCS): a job that does
-	// not pin Options.ComputeWorkers starts with the budget divided by
-	// the concurrency it will run beside (running + backlog, capped at
-	// Workers), so N concurrent simulations stop oversubscribing the
-	// host N×. Negative disables the division (every job defaults to
-	// GOMAXPROCS again).
-	ComputeBudget int
 	// MaxUploadBytes bounds POST /v1/graphs request bodies (default
 	// 64 MiB). Graph uploads carry whole edge lists, so they get a far
 	// larger cap than the other endpoints' 1 MB.
@@ -149,12 +140,6 @@ func Open(cfg Config) (*Service, error) {
 	if cfg.TraceSpanCap <= 0 {
 		cfg.TraceSpanCap = 8192
 	}
-	switch {
-	case cfg.ComputeBudget == 0:
-		cfg.ComputeBudget = runtime.GOMAXPROCS(0)
-	case cfg.ComputeBudget < 0:
-		cfg.ComputeBudget = 0 // explicit opt-out: unmanaged
-	}
 	s := &Service{
 		cfg:     cfg,
 		catalog: NewCatalog(),
@@ -187,10 +172,9 @@ func Open(cfg Config) (*Service, error) {
 		s.cache = newResultCache(cfg.MaxCacheEntries, nil)
 	}
 	s.scheduler = NewScheduler(SchedulerConfig{
-		Workers:       cfg.Workers,
-		Retain:        cfg.MaxJobHistory,
-		MaxQueue:      cfg.MaxQueue,
-		ComputeBudget: cfg.ComputeBudget,
+		Workers:  cfg.Workers,
+		Retain:   cfg.MaxJobHistory,
+		MaxQueue: cfg.MaxQueue,
 	}, s.execute)
 	// Latency histograms, pre-seeded with every route and engine so the
 	// first scrape sees zeros; the scheduler hooks feed the queue-wait
@@ -263,16 +247,7 @@ func (s *Service) execute(ctx context.Context, job *Job) (*chaos.Result, *chaos.
 		// boot) instead of the OS temp dir.
 		ctx = chaos.WithSpillDir(ctx, s.spillDir)
 	}
-	opt := job.Options
-	if opt.ComputeWorkers == 0 && job.computeShare > 0 {
-		// The job did not pin its host parallelism: run it on its share
-		// of the scheduler's compute budget instead of the GOMAXPROCS
-		// default, which would oversubscribe the host by the number of
-		// running jobs. Does not touch job.Options: the cache key and the
-		// journal keep the submitted options.
-		opt.ComputeWorkers = job.computeShare
-	}
-	res, rep, err := chaos.RunPreparedContext(ctx, job.Algorithm, g.View(view), g.Vertices, opt)
+	res, rep, err := chaos.RunPreparedContext(ctx, job.Algorithm, g.View(view), g.Vertices, job.Options)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -125,62 +125,19 @@ func (s *Store) PutChunk(kind SetKind, part int, data []byte) error {
 // NextChunk returns any not-yet-consumed chunk of the given set and marks
 // it consumed, or ok=false when every local chunk has been served this
 // iteration (the storage engine then tells the requester it has nothing
-// left, §6.3). It composes ConsumeChunk and ReadChunkAt, the primitives
-// the engine uses directly to avoid re-reading pre-read chunks.
+// left, §6.3).
 func (s *Store) NextChunk(kind SetKind, part int) (data []byte, ok bool, err error) {
-	idx, _, ok := s.ConsumeChunk(kind, part)
-	if !ok {
+	cs := s.set(kind, part)
+	if cs.consumed >= len(cs.chunks) {
 		return nil, false, nil
 	}
-	data, err = s.ReadChunkAt(kind, part, idx)
+	ref := cs.chunks[cs.consumed]
+	cs.consumed++
+	data, err = s.backend.Read(cs.stream, ref.offset, ref.length)
 	if err != nil {
 		return nil, false, err
 	}
 	return data, true, nil
-}
-
-// ConsumeChunk advances the consumption cursor of the given set without
-// reading the data, returning the consumed chunk's cursor index and byte
-// length. Callers that already hold the chunk's bytes (the engine's
-// pre-dispatched compute tasks) use it to skip the backend read;
-// ReadChunkAt recovers the data for a given index when needed.
-func (s *Store) ConsumeChunk(kind SetKind, part int) (idx, length int, ok bool) {
-	cs := s.set(kind, part)
-	if cs.consumed >= len(cs.chunks) {
-		return 0, 0, false
-	}
-	idx = cs.consumed
-	cs.consumed++
-	return idx, cs.chunks[idx].length, true
-}
-
-// ReadChunkAt returns the data of chunk idx of the given set, regardless
-// of consumption state.
-func (s *Store) ReadChunkAt(kind SetKind, part, idx int) ([]byte, error) {
-	cs := s.set(kind, part)
-	if idx < 0 || idx >= len(cs.chunks) {
-		return nil, fmt.Errorf("storage: machine %d has no chunk %d of %v partition %d", s.machine, idx, kind, part)
-	}
-	ref := cs.chunks[idx]
-	return s.backend.Read(cs.stream, ref.offset, ref.length)
-}
-
-// UnconsumedChunkData reads every not-yet-consumed chunk of the given set
-// in cursor order without consuming anything, returning the chunk payloads
-// and the cursor index of the first one. The engine uses it to pre-read a
-// stream's chunks for its compute workers; consumption (and its device
-// charge) still happens request by request through ConsumeChunk.
-func (s *Store) UnconsumedChunkData(kind SetKind, part int) (data [][]byte, base int, err error) {
-	cs := s.set(kind, part)
-	base = cs.consumed
-	for _, ref := range cs.chunks[base:] {
-		d, err := s.backend.Read(cs.stream, ref.offset, ref.length)
-		if err != nil {
-			return nil, base, err
-		}
-		data = append(data, d)
-	}
-	return data, base, nil
 }
 
 // ResetConsumption rewinds the consumption cursor of a set, the equivalent

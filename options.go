@@ -180,11 +180,6 @@ func (o Options) Canonical() Options {
 	if c.LatencyScale <= 0 {
 		c.LatencyScale = 1
 	}
-	// ComputeWorkers is a host-performance knob: the engine guarantees
-	// bit-identical results, reports and simulated times for every value
-	// (see internal/core/parallel.go), so all values canonicalize to the
-	// default and share one cache entry.
-	c.ComputeWorkers = 0
 	// Engine aliases fold to their canonical spelling; an unknown name
 	// is left as-is (Canonical cannot fail) and rejected when the run
 	// starts. The two engines never share a cache entry: their reports
@@ -192,11 +187,6 @@ func (o Options) Canonical() Options {
 	if eng, err := ParseEngine(c.Engine); err == nil {
 		c.Engine = eng
 	}
-	// NativeBarrier is a pure toggle too. It keeps final values
-	// bit-identical, but the report's steal counters and wall-clock are
-	// phase-layout-dependent, so the two layouts do not share a cache
-	// entry.
-	_ = c.NativeBarrier
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -215,7 +205,7 @@ var fingerprintFields = []string{
 	"Alpha", "DisableStealing", "AlwaysSteal", "CheckpointEvery",
 	"FailAtIteration", "CentralDirectory", "CombineUpdates",
 	"RewriteEdges", "ReplicateVertices", "MaxIterations", "LatencyScale",
-	"ComputeWorkers", "Engine", "NativeBarrier", "Seed",
+	"Engine", "Seed",
 }
 
 // Fingerprint returns a deterministic string identifying the effective
@@ -260,9 +250,10 @@ func (o Options) Fingerprint() string {
 	app("replicateVertices", btoa(c.ReplicateVertices))
 	app("maxIterations", itoa(c.MaxIterations))
 	app("latencyScale", ftoa(c.LatencyScale))
-	app("computeWorkers", itoa(c.ComputeWorkers))
+	// computeWorkers and nativeBarrier are retired options: fixed literals keep existing cache keys valid.
+	app("computeWorkers", "0")
 	app("engine", c.Engine)
-	app("nativeBarrier", btoa(c.NativeBarrier))
+	app("nativeBarrier", "false")
 	app("seed", strconv.FormatInt(c.Seed, 10))
 	return b.String()
 }
