@@ -150,3 +150,40 @@ func TestWebGraphGeneratorExport(t *testing.T) {
 		t.Errorf("vertex IDs out of range: %d", NumVertices(edges))
 	}
 }
+
+// TestSSSPResultSummaryCountsOnlyReached checks the SSSP summary on a
+// graph with an unreachable component: "reached" and "max_dist" must
+// match the reference Dijkstra. Both mark unreachable vertices with the
+// math.MaxFloat32 sentinel, which the summary must not count as reached.
+func TestSSSPResultSummaryCountsOnlyReached(t *testing.T) {
+	edges := GenerateRMAT(6, true, 42)
+	// A separate component the source (vertex 0) cannot reach, past a
+	// gap of isolated vertices.
+	edges = append(edges, Edge{Src: 70, Dst: 71, Weight: 0.5}, Edge{Src: 71, Dst: 72, Weight: 0.25})
+	n := uint64(73)
+	want := refalgo.SSSPDistances(graph.BuildAdjacency(graph.Undirected(edges), n), 0)
+	wantReached, wantMax := 0, 0.0
+	for _, d := range want {
+		if d != math.MaxFloat32 {
+			wantReached++
+			wantMax = math.Max(wantMax, float64(d))
+		}
+	}
+	if wantReached == len(want) {
+		t.Fatal("every vertex is reachable; the test graph lost its unreachable part")
+	}
+	for _, engine := range []string{EngineSim, EngineNative} {
+		opt := labOptions(2)
+		opt.Engine = engine
+		res, _, err := RunByNameResult("SSSP", edges, n, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		if got := res.Summary["reached"]; got != float64(wantReached) {
+			t.Errorf("%s: reached = %g, want %d of %d", engine, got, wantReached, len(want))
+		}
+		if got := res.Summary["max_dist"]; math.Abs(got-wantMax) > 1e-4*math.Max(1, wantMax) {
+			t.Errorf("%s: max_dist = %g, want %g", engine, got, wantMax)
+		}
+	}
+}

@@ -87,7 +87,8 @@ func (h distHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *distHeap) Push(x any)        { *h = append(*h, x.(distItem)) }
 func (h *distHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
-// SSSPDistances returns Dijkstra distances from root (+Inf for unreachable).
+// SSSPDistances returns Dijkstra distances from root (math.MaxFloat32 for
+// unreachable vertices, the same sentinel as algorithms.Inf).
 func SSSPDistances(adj *graph.Adjacency, root graph.VertexID) []float32 {
 	inf := float32(math.MaxFloat32)
 	dist := make([]float32, adj.N)

@@ -78,13 +78,19 @@ func (j *Job) addSpanLocked(kind, name, detail, parent string, start, end int64)
 
 // closeSpanLocked ends the span with the given id, optionally stamping
 // a detail; callers hold s.mu. Closing an unknown id is a no-op (the
-// span may predate a schema change in an old journal).
+// span may predate a schema change in an old journal), and so is closing
+// an already-closed span: the first close is the span's true end (the
+// terminal transition must not re-stamp the queued span the job's start
+// already closed).
 func (j *Job) closeSpanLocked(id string, end int64, detail string) {
 	if id == "" {
 		return
 	}
 	for i := range j.spans {
 		if j.spans[i].SpanID == id {
+			if j.spans[i].End != 0 {
+				return
+			}
 			j.spans[i].End = end
 			if detail != "" {
 				j.spans[i].Detail = detail

@@ -283,3 +283,62 @@ func decodeInto(resp *http.Response, out any) error {
 	defer resp.Body.Close()
 	return json.NewDecoder(resp.Body).Decode(out)
 }
+
+// queuedSpanEnd returns the End of the job's "queued" lifecycle span.
+func queuedSpanEnd(t *testing.T, s *Scheduler, id string) int64 {
+	t.Helper()
+	info, ok := s.TraceInfo(id)
+	if !ok {
+		t.Fatalf("job %s has no trace", id)
+	}
+	for _, sp := range info.spans {
+		if sp.Name == "queued" {
+			return sp.End
+		}
+	}
+	t.Fatalf("job %s has no queued span", id)
+	return 0
+}
+
+// TestQueuedSpanEndsWhenQueueWaitEnds pins the queue-wait span's end: a
+// job that ran closes it at its start (the terminal transition must not
+// re-stamp it), and a job canceled while still queued closes it at the
+// cancel.
+func TestQueuedSpanEndsWhenQueueWaitEnds(t *testing.T) {
+	g := newGate()
+	s := NewScheduler(SchedulerConfig{Workers: 1}, g.run)
+	defer func() {
+		close(g.release)
+		s.Shutdown(context.Background())
+	}()
+
+	ran, _ := s.Submit("g", "PR", chaos.Options{Seed: 1})
+	waitFor(t, "first job running", func() bool {
+		jv, _ := s.Get(ran.ID)
+		return jv.State == JobRunning
+	})
+	// One worker, busy: the second job waits in the queue until canceled.
+	waiting, _ := s.Submit("g", "PR", chaos.Options{Seed: 2})
+	if _, err := s.Cancel(waiting.ID); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond) // the run's terminal time must differ from its start
+	g.release <- struct{}{}
+	waitFor(t, "first job done", func() bool {
+		jv, _ := s.Get(ran.ID)
+		return jv.State == JobDone
+	})
+
+	rv, _ := s.Get(ran.ID)
+	if got, want := queuedSpanEnd(t, s, ran.ID), rv.StartedAt.UnixNano(); got != want {
+		t.Errorf("ran job: queued span ends at %d, want its start %d (finished %d)",
+			got, want, rv.FinishedAt.UnixNano())
+	}
+	cv, _ := s.Get(waiting.ID)
+	if cv.State != JobCanceled || cv.FinishedAt == nil {
+		t.Fatalf("waiting job: state %s, finishedAt %v", cv.State, cv.FinishedAt)
+	}
+	if got, want := queuedSpanEnd(t, s, waiting.ID), cv.FinishedAt.UnixNano(); got != want {
+		t.Errorf("canceled job: queued span ends at %d, want the cancel time %d", got, want)
+	}
+}

@@ -163,7 +163,8 @@ func runWCC(ctx context.Context, undirected []Edge, n uint64, opt Options) ([]ui
 }
 
 // RunSSSP returns shortest-path distances from root over the undirected
-// weighted view of edges (Inf for unreachable vertices).
+// weighted view of edges. Unreachable vertices hold math.MaxFloat32 (the
+// algorithms.Inf sentinel), not +Inf.
 func RunSSSP(edges []Edge, n uint64, root VertexID, opt Options) ([]float32, *Report, error) {
 	return runSSSP(context.Background(), ViewUndirected.Apply(edges), n, root, opt)
 }
@@ -405,7 +406,7 @@ func RunPreparedContext(ctx context.Context, name string, edges []Edge, n uint64
 		if err == nil {
 			reached, maxDist := 0, 0.0
 			for _, d := range dists {
-				if !math.IsInf(float64(d), 1) {
+				if d != algorithms.Inf {
 					reached++
 					if float64(d) > maxDist {
 						maxDist = float64(d)
