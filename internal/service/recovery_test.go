@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -393,6 +394,74 @@ func TestSnapshotCompactionAcrossRestarts(t *testing.T) {
 	for _, jv := range jobs {
 		if jv.State != JobDone {
 			t.Errorf("job %s: %s, want done", jv.ID, jv.State)
+		}
+	}
+}
+
+// TestRetiredOptionFieldsStillReplay replays durable state written while
+// Options still had ComputeWorkers and NativeBarrier: a snapshot job and
+// a journal job whose options carry both keys, beside a record from
+// before the engine option existed. All three must restore through Open,
+// the queued ones must run, and the retired keys must drop out, leaving
+// the fingerprint of the same options without them.
+func TestRetiredOptionFieldsStillReplay(t *testing.T) {
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	if err := os.MkdirAll(walDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const retired = `"ComputeWorkers":4,"NativeBarrier":true,`
+	snapshot := `{
+		"savedAt": "2026-01-02T03:04:05Z", "nextGraphID": 1, "nextJobID": 1,
+		"graphs": [{"id": "g1", "type": "rmat", "scale": 6, "seed": 1, "registered": "2026-01-02T03:04:05Z",
+			"weighted": false, "vertices": 64, "edges": 1024}],
+		"jobs": [{"id": "j1", "graph": "g1", "algorithm": "PR", "state": "queued", "enqueuedAt": "2026-01-02T03:04:05Z",
+			"options": {"Machines": 2, "ChunkBytes": 1024, "LatencyScale": 0.000244140625, ` + retired + ` "Seed": 7}}]
+	}`
+	if err := durable.SaveSnapshot(walDir, json.RawMessage(snapshot)); err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := durable.OpenWAL(walDir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []string{
+		`{"id": "j2", "graph": "g1", "algorithm": "WCC", "state": "queued", "enqueuedAt": "2026-01-02T03:04:06Z",
+			"options": {"Machines": 2, "ChunkBytes": 1024, ` + retired + ` "Engine": "native", "Seed": 7}}`,
+		// Pre-PR-5: no Engine key, no retired keys.
+		`{"id": "j3", "graph": "g1", "algorithm": "PR", "state": "done", "enqueuedAt": "2026-01-02T03:04:07Z",
+			"finishedAt": "2026-01-02T03:05:06Z", "options": {"Machines": 2, "ChunkBytes": 1024, "Seed": 7}}`,
+	} {
+		if err := w.Append(recJob, json.RawMessage(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+
+	svc := openDurable(t, dir, 2)
+	t.Cleanup(func() { svc.Shutdown(context.Background()) })
+	for id, engine := range map[string]string{"j1": chaos.EngineSim, "j2": chaos.EngineNative} {
+		jv := waitJob(t, svc, id)
+		if jv.State != JobDone || jv.Engine != engine || jv.Result == nil || jv.Result.Vertices != 1<<6 {
+			t.Errorf("job %s: state %s engine %s error %q result %+v", id, jv.State, jv.Engine, jv.Error, jv.Result)
+		}
+	}
+	if jv, ok := svc.Scheduler().Get("j3"); !ok || jv.State != JobDone || jv.Engine != chaos.EngineSim {
+		t.Errorf("pre-engine record restored as %+v (found %v)", jv, ok)
+	}
+	want := map[string]chaos.Options{
+		"j1": {Machines: 2, ChunkBytes: 1024, LatencyScale: 1.0 / 4096, Seed: 7},
+		"j2": {Machines: 2, ChunkBytes: 1024, Engine: chaos.EngineNative, Seed: 7},
+	}
+	s := svc.Scheduler()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for id, opt := range want {
+		if got := s.jobs[id].Options; got != opt {
+			t.Errorf("job %s options %+v, want %+v", id, got, opt)
 		}
 	}
 }

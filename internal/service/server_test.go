@@ -109,6 +109,20 @@ func postJSON(t *testing.T, h http.Handler, url, body string) *httptest.Response
 	return w
 }
 
+// TestPostRejectsRetiredOptionFields: computeWorkers and nativeBarrier
+// were removed from the job API; a client still sending them gets a 400
+// naming the field rather than a silently ignored knob.
+func TestPostRejectsRetiredOptionFields(t *testing.T) {
+	svc := newTestService(t, 1)
+	h := svc.Handler()
+	for name, value := range map[string]string{"computeWorkers": "4", "nativeBarrier": "true"} {
+		w := postJSON(t, h, "/v1/jobs", `{"graph":"g","algorithm":"PR","options":{"`+name+`":`+value+`}}`)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), name) {
+			t.Errorf("%s: status %d, body %s; want 400 naming the field", name, w.Code, w.Body.String())
+		}
+	}
+}
+
 // Typo'd JSON keys used to run jobs with silent defaults; now they fail
 // with 400 before anything is scheduled.
 func TestPostRejectsUnknownFields(t *testing.T) {

@@ -52,8 +52,8 @@ func main() {
 		committedPath = flag.String("committed", "records/BENCH_native.json", "record committed to the repo")
 		factor        = flag.Float64("factor", 2.0, "fail when fresh wall-clock exceeds committed*factor+slack")
 		slack         = flag.Float64("slack", 0.75, "absolute headroom in seconds per arm")
-		armFactors    = flag.String("arm-factors", "oocore=3,native-barrier=3",
-			"per-arm factor overrides as name=factor[,name=factor...]; disk-bound arms get a wider envelope than CPU-bound ones, and the barrier A/B arm exists to be lost to, so its own wall-clock only matters at the accidentally-quadratic level")
+		armFactors    = flag.String("arm-factors", "oocore=3",
+			"per-arm factor overrides as name=factor[,name=factor...]; disk-bound arms get a wider envelope than CPU-bound ones")
 	)
 	flag.Parse()
 	perArm := make(map[string]float64)
