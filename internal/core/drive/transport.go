@@ -21,11 +21,11 @@ import "sync/atomic"
 // — including any budget-pressure spilling, which sweeps row src only —
 // until scatter(src)'s completion is published (a channel close).
 // Afterwards the bucket is read only by the goroutine running
-// gather(dst), via DrainFrom(dst, src). The
-// completion signal is the happens-before edge; no slot is ever touched
-// from two goroutines without one. PendingBytes is a single atomic read,
-// safe at any time — steal sweeps consult it live while producers are
-// still Putting into the column.
+// gather(dst), via DrainFrom(dst, src). The completion signal is the
+// happens-before edge; no slot is ever touched from two goroutines
+// without one. PendingBytes is a single atomic read, safe at any time —
+// steal sweeps consult it live while producers are still Putting into
+// the column.
 //
 // Transports never touch a clock, an RNG or a mailbox; spill I/O failure
 // mid-phase is unrecoverable and panics with context.
@@ -64,9 +64,8 @@ type TransportStats struct {
 // PendingChunk is one drained update chunk awaiting its gather fold.
 // Load materializes the typed records — a slice hand-back for a resident
 // chunk, a read and decode for a spilled one — and Release returns the
-// scratch to the kernel pools (and, for
-// the last spilled chunk of a drained bucket, reclaims the bucket's
-// spill-file space).
+// scratch to the kernel pools (and, for the last spilled chunk of a
+// drained bucket, reclaims the bucket's spill-file space).
 type PendingChunk[U any] struct {
 	// Bytes is the chunk's encoded-equivalent size, for byte tallies and
 	// flight-recorder spans.
