@@ -2,6 +2,8 @@ package chaos
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"chaos/internal/graph"
@@ -13,6 +15,36 @@ func labOptions(m int) Options {
 		Machines:   m,
 		ChunkBytes: 4 << 10,
 		Seed:       1,
+	}
+}
+
+// TestComputeWorkersDoNotChangeResults is the public-API face of the
+// engine's determinism contract: for every algorithm, a run with the Go
+// scheduler on one OS thread (GOMAXPROCS = 1) and a run on eight produce
+// bit-identical Results and Reports — including SimulatedSeconds and the
+// full Figure 17 breakdown. Chunk compute runs inline, so the host's
+// thread count is the only compute-worker count left.
+func TestComputeWorkersDoNotChangeResults(t *testing.T) {
+	for _, alg := range Algorithms() {
+		edges := GenerateRMAT(6, NeedsWeights(alg), 42)
+		opts := labOptions(4)
+		opts.MemBudgetBytes = 1 << 8 // several partitions per machine
+		run := func(procs int) (*Result, *Report) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			res, rep, err := RunByNameResult(alg, edges, 0, opts)
+			if err != nil {
+				t.Fatalf("%s GOMAXPROCS=%d: %v", alg, procs, err)
+			}
+			return res, rep
+		}
+		res1, rep1 := run(1)
+		res2, rep2 := run(8)
+		if !reflect.DeepEqual(res1, res2) {
+			t.Errorf("%s: results differ across GOMAXPROCS:\n1: %+v\n8: %+v", alg, res1, res2)
+		}
+		if !reflect.DeepEqual(rep1, rep2) {
+			t.Errorf("%s: reports differ across GOMAXPROCS:\n1: %+v\n8: %+v", alg, rep1, rep2)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"chaos/internal/algorithms"
@@ -9,39 +10,35 @@ import (
 	"chaos/internal/graph"
 )
 
-// checkWorkerDeterminism runs the same program twice — once with the
-// serial inline path (ComputeWorkers = 1) and once on a real worker pool
-// — and requires bit-identical vertex values and a bit-identical
-// metrics.Run, including every simulated timestamp-derived figure. This
-// is the contract that lets the engine use host parallelism inside a
-// deterministic discrete-event simulation (see parallel.go).
+// checkWorkerDeterminism runs the same program twice — once with the Go
+// scheduler confined to one OS thread (GOMAXPROCS = 1) and once with
+// eight — and requires bit-identical vertex values and a bit-identical
+// metrics.Run, including every simulated timestamp-derived figure. Chunk
+// compute runs inline inside simulation processes, which are goroutines,
+// so the host's thread count is the only worker count left; it must
+// never leak into the results.
 func checkWorkerDeterminism[V, U, A any](t *testing.T, name string,
 	mkProg func() gas.Program[V, U, A], edges []graph.Edge, n uint64, mutate func(*Config)) {
 	t.Helper()
-	serial := testConfig(4, n, 8)
-	serial.ComputeWorkers = 1
+	cfg := testConfig(4, n, 8)
 	if mutate != nil {
-		mutate(&serial)
+		mutate(&cfg)
 	}
-	parallel := serial
-	parallel.ComputeWorkers = 8
-
-	sVals, sRun, err := Run(serial, mkProg(), edges, n)
-	if err != nil {
-		t.Fatalf("%s serial: %v", name, err)
+	run := func(procs int) ([]V, any) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		vals, r, err := Run(cfg, mkProg(), edges, n)
+		if err != nil {
+			t.Fatalf("%s GOMAXPROCS=%d: %v", name, procs, err)
+		}
+		return vals, r
 	}
-	pVals, pRun, err := Run(parallel, mkProg(), edges, n)
-	if err != nil {
-		t.Fatalf("%s parallel: %v", name, err)
-	}
+	sVals, sRun := run(1)
+	pVals, pRun := run(8)
 	if !reflect.DeepEqual(sVals, pVals) {
-		t.Errorf("%s: parallel values differ from serial", name)
+		t.Errorf("%s: values differ across GOMAXPROCS", name)
 	}
 	if !reflect.DeepEqual(sRun, pRun) {
-		t.Errorf("%s: parallel run metrics differ from serial:\nserial:   %+v\nparallel: %+v", name, sRun, pRun)
-	}
-	if sRun.Runtime != pRun.Runtime {
-		t.Errorf("%s: simulated runtime %v (serial) vs %v (parallel)", name, sRun.Runtime, pRun.Runtime)
+		t.Errorf("%s: run metrics differ across GOMAXPROCS:\n1: %+v\n8: %+v", name, sRun, pRun)
 	}
 }
 
@@ -68,7 +65,7 @@ func TestParallelChunkProcessingIsDeterministic(t *testing.T) {
 		}, algorithms.AugmentEdges(edges), n, nil)
 }
 
-// The extended-model paths run their kernels on workers too: the combiner
+// The extended-model paths run their kernels inline too: the combiner
 // merges inside per-chunk maps, the rewriter emits next-generation edge
 // chunks, and checkpoint/rollback replays iterations.
 func TestParallelExtensionsAreDeterministic(t *testing.T) {
