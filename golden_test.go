@@ -34,35 +34,49 @@ type goldenCorpus struct {
 }
 
 // goldenFingerprintCases covers the defaults, every option away from its
-// default, the hdd/1g hardware pair, the native engine and a nonzero seed.
+// default, the hdd/1g hardware pair, the native engine and a nonzero seed,
+// plus the shapes Canonical has to fold: negative values on every clamped
+// field (and a negative seed), upper-case engine aliases, out-of-range
+// hardware, all three stealing knobs at once and the lab latency scale.
 func goldenFingerprintCases() map[string]Options {
 	return map[string]Options{
-		"defaults":          {},
-		"lab4":              labOptions(4),
-		"hdd-1g":            {Storage: HDD, Network: Net1GigE},
-		"native":            {Engine: EngineNative},
-		"native-lab4":       {Engine: EngineNative, Machines: 4, ChunkBytes: 4 << 10, Seed: 1},
-		"engine-alias-des":  {Engine: "des"},
-		"seed":              {Seed: 99},
-		"machines":          {Machines: 3},
-		"cores":             {Cores: 8},
-		"chunkBytes":        {ChunkBytes: 1 << 10},
-		"vertexChunkBytes":  {VertexChunkBytes: 1 << 9},
-		"memBudgetBytes":    {MemBudgetBytes: 1 << 20},
-		"memoryBudgetMB":    {MemoryBudgetMB: 12},
-		"batchK":            {BatchK: 7},
-		"windowOverride":    {WindowOverride: 9},
-		"alpha":             {Alpha: 2.5},
-		"disableStealing":   {DisableStealing: true},
-		"alwaysSteal":       {AlwaysSteal: true},
-		"checkpointEvery":   {CheckpointEvery: 2},
-		"failAtIteration":   {FailAtIteration: 3, CheckpointEvery: 1},
-		"centralDirectory":  {CentralDirectory: true},
-		"combineUpdates":    {CombineUpdates: true},
-		"rewriteEdges":      {RewriteEdges: true},
-		"replicateVertices": {ReplicateVertices: true},
-		"maxIterations":     {MaxIterations: 42},
-		"latencyScale":      {LatencyScale: 0.25},
+		"defaults":              {},
+		"lab4":                  labOptions(4),
+		"hdd-1g":                {Storage: HDD, Network: Net1GigE},
+		"native":                {Engine: EngineNative},
+		"native-lab4":           {Engine: EngineNative, Machines: 4, ChunkBytes: 4 << 10, Seed: 1},
+		"engine-alias-des":      {Engine: "des"},
+		"seed":                  {Seed: 99},
+		"machines":              {Machines: 3},
+		"cores":                 {Cores: 8},
+		"chunkBytes":            {ChunkBytes: 1 << 10},
+		"vertexChunkBytes":      {VertexChunkBytes: 1 << 9},
+		"memBudgetBytes":        {MemBudgetBytes: 1 << 20},
+		"memoryBudgetMB":        {MemoryBudgetMB: 12},
+		"batchK":                {BatchK: 7},
+		"windowOverride":        {WindowOverride: 9},
+		"alpha":                 {Alpha: 2.5},
+		"disableStealing":       {DisableStealing: true},
+		"alwaysSteal":           {AlwaysSteal: true},
+		"checkpointEvery":       {CheckpointEvery: 2},
+		"failAtIteration":       {FailAtIteration: 3, CheckpointEvery: 1},
+		"centralDirectory":      {CentralDirectory: true},
+		"combineUpdates":        {CombineUpdates: true},
+		"rewriteEdges":          {RewriteEdges: true},
+		"replicateVertices":     {ReplicateVertices: true},
+		"maxIterations":         {MaxIterations: 42},
+		"latencyScale":          {LatencyScale: 0.25},
+		"latencyScale-lab":      {LatencyScale: 1.0 / 4096},
+		"engine-alias-DES":      {Engine: "DES"},
+		"engine-alias-NATIVE":   {Engine: "NATIVE"},
+		"hardware-out-of-range": {Storage: Storage(7), Network: Network(7)},
+		"stealing-all-knobs":    {Alpha: 3, DisableStealing: true, AlwaysSteal: true},
+		"negatives": {
+			Machines: -1, Cores: -1, ChunkBytes: -1, VertexChunkBytes: -1,
+			MemBudgetBytes: -1, MemoryBudgetMB: -1, BatchK: -1, WindowOverride: -1,
+			Alpha: -1, CheckpointEvery: -1, FailAtIteration: -1, MaxIterations: -1,
+			LatencyScale: -1, Seed: -5,
+		},
 	}
 }
 
