@@ -401,9 +401,11 @@ func TestSnapshotCompactionAcrossRestarts(t *testing.T) {
 // TestRetiredOptionFieldsStillReplay replays durable state written while
 // Options still had ComputeWorkers and NativeBarrier: a snapshot job and
 // a journal job whose options carry both keys, beside a record from
-// before the engine option existed. All three must restore through Open,
-// the queued ones must run, and the retired keys must drop out, leaving
-// the fingerprint of the same options without them.
+// before the engine option existed, and a record from when Storage and
+// Network were journaled as integers (1 = HDD, 1 = 1 GigE). All must
+// restore through Open, the queued ones must run, and the retired keys
+// must drop out, leaving the fingerprint of the same options without
+// them.
 func TestRetiredOptionFieldsStillReplay(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
@@ -431,6 +433,9 @@ func TestRetiredOptionFieldsStillReplay(t *testing.T) {
 		// Pre-PR-5: no Engine key, no retired keys.
 		`{"id": "j3", "graph": "g1", "algorithm": "PR", "state": "done", "enqueuedAt": "2026-01-02T03:04:07Z",
 			"finishedAt": "2026-01-02T03:05:06Z", "options": {"Machines": 2, "ChunkBytes": 1024, "Seed": 7}}`,
+		// Hardware as integers under capitalized keys.
+		`{"id": "j4", "graph": "g1", "algorithm": "PR", "state": "done", "enqueuedAt": "2026-01-02T03:04:08Z",
+			"finishedAt": "2026-01-02T03:05:06Z", "options": {"Machines": 2, "Storage": 1, "Network": 1, "ChunkBytes": 1024, "Seed": 7}}`,
 	} {
 		if err := w.Append(recJob, json.RawMessage(rec)); err != nil {
 			t.Fatal(err)
@@ -455,12 +460,13 @@ func TestRetiredOptionFieldsStillReplay(t *testing.T) {
 	want := map[string]chaos.Options{
 		"j1": {Machines: 2, ChunkBytes: 1024, LatencyScale: 1.0 / 4096, Seed: 7},
 		"j2": {Machines: 2, ChunkBytes: 1024, Engine: chaos.EngineNative, Seed: 7},
+		"j4": {Machines: 2, Storage: chaos.HDD, Network: chaos.Net1GigE, ChunkBytes: 1024, Seed: 7},
 	}
 	s := svc.Scheduler()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for id, opt := range want {
-		if got := s.jobs[id].Options; got != opt {
+		if got := s.jobs[id].Options; got != opt || got.Fingerprint() != opt.Fingerprint() {
 			t.Errorf("job %s options %+v, want %+v", id, got, opt)
 		}
 	}
