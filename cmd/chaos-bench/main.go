@@ -57,31 +57,29 @@ var all = []struct {
 func main() {
 	logger := cli.NewLogger("chaos-bench")
 	var (
-		which     = flag.String("experiment", "all", "experiment id (all, table1, fig5..fig20, capacity)")
-		quick     = flag.Bool("quick", false, "use the reduced smoke scale")
-		storage   = flag.String("storage", "ssd", "default storage device: ssd or hdd")
-		network   = flag.String("network", "40g", "default network: 40g or 1g")
-		benchJSON = flag.String("bench-json", ".", "directory for BENCH_<experiment>.json records (empty disables)")
-		engineFl  = flag.String("engine", "sim",
-			"execution engine: sim reproduces the paper's figures; native selects the native-vs-DES wall-clock comparison (the figures themselves are DES-only)")
+		which      = flag.String("experiment", "all", "experiment id (all, table1, fig5..fig20, capacity)")
+		quick      = flag.Bool("quick", false, "use the reduced smoke scale")
+		benchJSON  = flag.String("bench-json", ".", "directory for BENCH_<experiment>.json records (empty disables)")
 		cpuProfile = flag.String("cpuprofile", "",
 			"write a runtime/pprof CPU profile of the experiments' timed region to this file (setup and flag parsing excluded)")
 		memProfile = flag.String("memprofile", "",
 			"write a runtime/pprof allocs profile to this file after the experiments finish (records every allocation since program start, so iteration-loop hot spots dominate)")
 	)
+	// Hardware and engine names go through the same helpers as chaos-run
+	// and chaos-serve, so a typo fails with the identical message
+	// everywhere.
+	var opt chaos.Options
+	flag.TextVar(&opt.Storage, "storage", chaos.SSD, "default storage device: ssd or hdd")
+	flag.TextVar(&opt.Network, "network", chaos.Net40GigE, "default network: 40g or 1g")
+	flag.Func("engine",
+		"execution engine: sim reproduces the paper's figures; native selects the native-vs-DES wall-clock comparison (the figures themselves are DES-only) (default sim)",
+		func(name string) (err error) {
+			opt.Engine, err = chaos.ParseEngine(name)
+			return err
+		})
 	flag.Parse()
 
-	// Hardware names go through the same helpers as chaos-run and
-	// chaos-serve, so a typo fails with the identical message everywhere.
-	_, hw, err := chaos.ParseOptions("", *storage, *network, chaos.Options{})
-	if err != nil {
-		cli.Fatal(logger, "parsing options", err)
-	}
-	engine, err := chaos.ParseEngine(*engineFl)
-	if err != nil {
-		cli.Fatal(logger, "parsing engine", err)
-	}
-	if engine == chaos.EngineNative {
+	if opt.Engine == chaos.EngineNative {
 		// The evaluation figures are produced by the DES driver and only
 		// it (EXPERIMENTS.md): the native plane has no virtual clock, so
 		// the only native benchmark is the wall-clock comparison.
@@ -99,7 +97,7 @@ func main() {
 	if *quick {
 		scale = experiments.Quick
 	}
-	scale.Storage, scale.Network = hw.Storage, hw.Network
+	scale.Storage, scale.Network = opt.Storage, opt.Network
 	scale.BenchDir = *benchJSON
 	// Profiling brackets exactly the experiments' timed region — the
 	// same code the wall-clock records measure — so "profile-driven" is

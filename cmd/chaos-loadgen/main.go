@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"chaos"
 	"chaos/internal/cli"
 	"chaos/internal/obs"
 )
@@ -50,16 +51,12 @@ type graphInfo struct {
 	ID string `json:"id"`
 }
 
-type jobOptions struct {
-	Machines int    `json:"machines,omitempty"`
-	Seed     int64  `json:"seed,omitempty"`
-	Engine   string `json:"engine,omitempty"`
-}
-
+// jobRequest carries chaos.Options itself: the options type is the
+// API's wire form.
 type jobRequest struct {
-	Graph     string     `json:"graph"`
-	Algorithm string     `json:"algorithm"`
-	Options   jobOptions `json:"options"`
+	Graph     string        `json:"graph"`
+	Algorithm string        `json:"algorithm"`
+	Options   chaos.Options `json:"options"`
 }
 
 type jobView struct {
@@ -166,7 +163,7 @@ func main() {
 				req := jobRequest{
 					Graph:     graphID,
 					Algorithm: *alg,
-					Options:   jobOptions{Machines: *machines, Seed: *seedBase + int64(i), Engine: *engine},
+					Options:   chaos.Options{Machines: *machines, Seed: *seedBase + int64(i), Engine: *engine},
 				}
 				tp, tid := traceparentFor(i)
 				s := runJob(client, base, req, tp, tid, *jobTimeout, &rejected)

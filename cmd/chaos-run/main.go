@@ -38,41 +38,46 @@ import (
 
 func main() {
 	logger := cli.NewLogger("chaos-run")
+	// Flags bind straight into the run's Options; -chunk-kb and -mem-mb
+	// are converted from their units after parsing. Hardware and engine
+	// names go through the same chaos.Parse* helpers as chaos-serve, so
+	// error messages match across front ends.
+	var opt chaos.Options
 	var (
 		algName  = flag.String("alg", "PR", "algorithm: BFS WCC MCST MIS SSSP PR SCC Cond SpMV BP")
 		input    = flag.String("input", "", "binary edge-list file (default: generate R-MAT)")
 		vertices = flag.Uint64("vertices", 0, "vertex count of -input (0 = infer)")
 		weighted = flag.Bool("weighted", false, "-input carries weights")
 		scale    = flag.Int("scale", 14, "R-MAT scale when generating")
-		machines = flag.Int("machines", 1, "cluster size")
-		storage  = flag.String("storage", "ssd", "storage device: ssd or hdd")
-		network  = flag.String("network", "40g", "network: 40g or 1g")
-		cores    = flag.Int("cores", 16, "cores per machine")
 		chunkKB  = flag.Int("chunk-kb", 4096, "chunk size in KiB (paper: 4096)")
 		budgetMB = flag.Int64("mem-mb", 0, "per-machine vertex memory budget in MiB (0 = unconstrained)")
-		updateMB = flag.Int64("memory-budget-mb", 0,
-			"native engine update-memory budget in MiB; past it updates spill to temp files (out-of-core mode, 0 = unlimited)")
-		ckpt   = flag.Int("checkpoint", 0, "checkpoint every n iterations (0 = off)")
-		seed   = flag.Int64("seed", 1, "randomization seed")
-		engine = flag.String("engine", "sim",
-			"execution engine: sim (discrete-event simulation, virtual time) or native (host-speed goroutine plane, wall-clock)")
 		traceOut = flag.String("trace", "",
 			"write the run's flight-recorder timeline to this file as Chrome trace_event JSON (empty = no recording)")
 		traceSpans = flag.Int("trace-spans", 1<<16,
 			"flight-recorder capacity in spans; the oldest are dropped past it (with -trace)")
 	)
+	flag.IntVar(&opt.Machines, "machines", 1, "cluster size")
+	flag.TextVar(&opt.Storage, "storage", chaos.SSD, "storage device: ssd or hdd")
+	flag.TextVar(&opt.Network, "network", chaos.Net40GigE, "network: 40g or 1g")
+	flag.IntVar(&opt.Cores, "cores", 16, "cores per machine")
+	flag.Int64Var(&opt.MemoryBudgetMB, "memory-budget-mb", 0,
+		"native engine update-memory budget in MiB; past it updates spill to temp files (out-of-core mode, 0 = unlimited)")
+	flag.IntVar(&opt.CheckpointEvery, "checkpoint", 0, "checkpoint every n iterations (0 = off)")
+	flag.Int64Var(&opt.Seed, "seed", 1, "randomization seed")
+	flag.Func("engine",
+		"execution engine: sim (discrete-event simulation, virtual time) or native (host-speed goroutine plane, wall-clock) (default sim)",
+		func(name string) (err error) {
+			opt.Engine, err = chaos.ParseEngine(name)
+			return err
+		})
 	flag.Parse()
+	opt.ChunkBytes = *chunkKB << 10
+	opt.MemBudgetBytes = *budgetMB << 20
+	opt.LatencyScale = float64(*chunkKB<<10) / float64(4<<20)
 
-	// The shared helpers validate algorithm/storage/network/engine names
-	// exactly as chaos-serve does, so error messages match across front
-	// ends.
-	alg, hw, err := chaos.ParseOptions(*algName, *storage, *network, chaos.Options{})
+	alg, err := chaos.ParseAlgorithm(*algName)
 	if err != nil {
 		cli.Fatal(logger, "parsing options", err)
-	}
-	eng, err := chaos.ParseEngine(*engine)
-	if err != nil {
-		cli.Fatal(logger, "parsing engine", err)
 	}
 
 	var edges []chaos.Edge
@@ -101,20 +106,6 @@ func main() {
 	} else {
 		edges = chaos.GenerateRMAT(*scale, chaos.NeedsWeights(alg), 42)
 		n = uint64(1) << uint(*scale)
-	}
-
-	opt := chaos.Options{
-		Machines:        *machines,
-		Storage:         hw.Storage,
-		Network:         hw.Network,
-		Cores:           *cores,
-		ChunkBytes:      *chunkKB << 10,
-		MemBudgetBytes:  *budgetMB << 20,
-		MemoryBudgetMB:  *updateMB,
-		CheckpointEvery: *ckpt,
-		Seed:            *seed,
-		LatencyScale:    float64(*chunkKB<<10) / float64(4<<20),
-		Engine:          eng,
 	}
 
 	// Convert to the algorithm's edge view explicitly (instead of

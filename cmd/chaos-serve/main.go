@@ -71,29 +71,29 @@ func main() {
 		resultCacheMB = flag.Int("result-cache-mb", 512,
 			"disk result store bound in MiB, LRU-evicted past it; 0 = unbounded (with -data-dir)")
 		maxUploadMB = flag.Int("max-upload-mb", 64, "POST /v1/graphs body cap in MiB")
-		engine      = flag.String("engine", "sim",
-			"default execution engine for jobs that set none: sim (discrete-event simulation, virtual time) or native (host-speed goroutine plane)")
-		memoryBudgetMB = flag.Int64("memory-budget-mb", 0,
-			"default native update-memory budget in MiB for jobs that set none; past it updates spill to disk (0 = unlimited)")
-		debugAddr = flag.String("debug-addr", "",
+		debugAddr   = flag.String("debug-addr", "",
 			"operator-only listener with net/http/pprof under /debug/pprof/ (empty = off; never expose publicly)")
 		traceSpans = flag.Int("trace-spans", 8192,
 			"per-job flight-recorder capacity in spans for GET /v1/jobs/{id}/trace; the oldest are dropped past it")
 	)
+	// The job defaults bind straight into BaseOptions; -chunk-kb is
+	// converted from KiB after parsing.
+	var base chaos.Options
+	flag.Func("engine",
+		"default execution engine for jobs that set none: sim (discrete-event simulation, virtual time) or native (host-speed goroutine plane) (default sim)",
+		func(name string) (err error) {
+			base.Engine, err = chaos.ParseEngine(name)
+			return err
+		})
+	flag.Int64Var(&base.MemoryBudgetMB, "memory-budget-mb", 0,
+		"default native update-memory budget in MiB for jobs that set none; past it updates spill to disk (0 = unlimited)")
 	flag.Parse()
+	base.ChunkBytes = *chunkKB << 10
+	base.LatencyScale = float64(*chunkKB<<10) / float64(4<<20)
 
-	defaultEngine, err := chaos.ParseEngine(*engine)
-	if err != nil {
-		cli.Fatal(logger, "parsing engine", err)
-	}
 	svc, err := service.Open(service.Config{
-		Workers: *workers,
-		BaseOptions: chaos.Options{
-			ChunkBytes:     *chunkKB << 10,
-			LatencyScale:   float64(*chunkKB<<10) / float64(4<<20),
-			Engine:         defaultEngine,
-			MemoryBudgetMB: *memoryBudgetMB,
-		},
+		Workers:             *workers,
+		BaseOptions:         base,
 		MaxQueue:            *maxQueue,
 		MaxUploadBytes:      int64(*maxUploadMB) << 20,
 		DataDir:             *dataDir,

@@ -10,14 +10,24 @@ import (
 	"chaos/internal/durable"
 )
 
-// cacheKey content-addresses a run: the graph id (catalog ids are
-// immutable bindings to one edge set), the canonical algorithm name, and
-// the canonicalized options fingerprint. Two submissions with the same
-// key are guaranteed to produce identical results, so the second is
-// served from memory — or, with a data dir, from the disk result store,
-// across process restarts.
+// resultSchema versions what a stored result means. It is mixed into
+// every cache key, so bumping it makes blobs written under an older
+// definition miss and be recomputed instead of served. Bump it when the
+// same inputs start producing a different Result or Report. Version 2:
+// SSSP's "reached" summary stopped counting unreachable vertices; blobs
+// from before that fix were keyed without a version.
+const resultSchema = "2"
+
+// cacheKey content-addresses a run: the result schema version, the graph
+// id (catalog ids are immutable bindings to one edge set), the canonical
+// algorithm name, and the canonicalized options fingerprint. Two
+// submissions with the same key are guaranteed to produce identical
+// results, so the second is served from memory — or, with a data dir,
+// from the disk result store, across process restarts.
 func cacheKey(graphID, algorithm string, opt chaos.Options) string {
 	h := sha256.New()
+	h.Write([]byte("schema=" + resultSchema))
+	h.Write([]byte{0})
 	h.Write([]byte(graphID))
 	h.Write([]byte{0})
 	h.Write([]byte(algorithm))

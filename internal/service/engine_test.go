@@ -27,7 +27,7 @@ func TestNativeEngineJobEndToEnd(t *testing.T) {
 
 	var jv JobView
 	code, body := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-		jobRequest{Graph: "g", Algorithm: "PR", Options: jobOptions{Engine: "native", Seed: 3}}, &jv)
+		jobRequest{Graph: "g", Algorithm: "PR", Options: chaos.Options{Engine: "native", Seed: 3}}, &jv)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit native job: %d %s", code, body)
 	}
@@ -56,7 +56,7 @@ func TestNativeEngineJobEndToEnd(t *testing.T) {
 	// really runs (and reports virtual time).
 	var simJV JobView
 	if code, body := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-		jobRequest{Graph: "g", Algorithm: "PR", Options: jobOptions{Seed: 3}}, &simJV); code != http.StatusAccepted {
+		jobRequest{Graph: "g", Algorithm: "PR", Options: chaos.Options{Seed: 3}}, &simJV); code != http.StatusAccepted {
 		t.Fatalf("submit sim job: %d %s", code, body)
 	}
 	simDone := pollJob(t, client, ts.URL, simJV.ID)
@@ -70,7 +70,7 @@ func TestNativeEngineJobEndToEnd(t *testing.T) {
 	// And the native resubmission IS a hit.
 	var hitJV JobView
 	if code, _ := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-		jobRequest{Graph: "g", Algorithm: "PR", Options: jobOptions{Engine: "native", Seed: 3}}, &hitJV); code != http.StatusAccepted {
+		jobRequest{Graph: "g", Algorithm: "PR", Options: chaos.Options{Engine: "native", Seed: 3}}, &hitJV); code != http.StatusAccepted {
 		t.Fatal("native resubmission rejected")
 	}
 	if hit := pollJob(t, client, ts.URL, hitJV.ID); !hit.CacheHit || hit.Engine != chaos.EngineNative {
@@ -111,7 +111,8 @@ func TestNativeEngineJobEndToEnd(t *testing.T) {
 }
 
 // TestBadEngineRejectedAtSubmit checks a typo'd engine name fails the
-// submission with 400 and the shared ParseEngine message.
+// submission with 400 and the shared ParseEngine message, over HTTP and
+// from Go alike.
 func TestBadEngineRejectedAtSubmit(t *testing.T) {
 	svc := newTestService(t, 1)
 	ts := httptest.NewServer(svc.Handler())
@@ -123,9 +124,17 @@ func TestBadEngineRejectedAtSubmit(t *testing.T) {
 		t.Fatal("register failed")
 	}
 	code, body := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-		jobRequest{Graph: "g", Algorithm: "PR", Options: jobOptions{Engine: "turbo"}}, nil)
+		jobRequest{Graph: "g", Algorithm: "PR", Options: chaos.Options{Engine: "turbo"}}, nil)
 	if code != http.StatusBadRequest || !strings.Contains(body, "unknown engine") {
 		t.Fatalf("bad engine: %d %s", code, body)
+	}
+	// Go callers are rejected at the same place, with the same message.
+	var httpErr errorResponse
+	if err := json.Unmarshal([]byte(body), &httpErr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Submit("g", "PR", chaos.Options{Engine: "turbo"}); err == nil || err.Error() != httpErr.Error {
+		t.Errorf("Submit with a bad engine: err = %v, want the HTTP message %q", err, httpErr.Error)
 	}
 }
 

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -469,5 +471,88 @@ func TestRetiredOptionFieldsStillReplay(t *testing.T) {
 		if got := s.jobs[id].Options; got != opt || got.Fingerprint() != opt.Fingerprint() {
 			t.Errorf("job %s options %+v, want %+v", id, got, opt)
 		}
+	}
+}
+
+// TestJournalRecordsHardwareByName: job records journaled now carry
+// Storage and Network by name, the form chaos.Options marshals to.
+func TestJournalRecordsHardwareByName(t *testing.T) {
+	dir := t.TempDir()
+	svc := openDurable(t, dir, 1)
+	g, err := svc.RegisterGraph(GraphSpec{Name: "g", Type: "rmat", Scale: 6, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jv, err := svc.Submit(g.ID, "PR", chaos.Options{Storage: chaos.HDD, Network: chaos.Net1GigE, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := waitJob(t, svc, jv.ID); done.State != JobDone {
+		t.Fatalf("job %s: %s %s", done.ID, done.State, done.Error)
+	}
+	crash(t, svc)
+
+	w, rec, err := durable.OpenWAL(filepath.Join(dir, "wal"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	jobs := 0
+	for _, r := range rec.Records {
+		if r.Kind != recJob {
+			continue
+		}
+		jobs++
+		if !bytes.Contains(r.Data, []byte(`"storage":"hdd","network":"1g"`)) {
+			t.Errorf("job record without hardware names: %s", r.Data)
+		}
+	}
+	if jobs == 0 {
+		t.Fatal("no job records journaled")
+	}
+}
+
+// TestVersionlessResultBlobNotServed: result blobs stored before cache
+// keys carried resultSchema (when SSSP's "reached" still counted
+// unreachable vertices) must miss and be recomputed, while the same blob
+// under a current key is served.
+func TestVersionlessResultBlobNotServed(t *testing.T) {
+	svc := openDurable(t, t.TempDir(), 1)
+	t.Cleanup(func() { svc.Shutdown(context.Background()) })
+	g, err := svc.RegisterGraph(GraphSpec{Name: "g", Type: "rmat", Scale: 6, Weighted: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := json.Marshal(storedResult{
+		Result: &chaos.Result{Algorithm: "SSSP", Vertices: 1},
+		Report: &chaos.Report{Algorithm: "SSSP"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	versionless := func(opt chaos.Options) string {
+		h := sha256.New()
+		h.Write([]byte(g.ID + "\x00SSSP\x00" + mergeOptions(labOptions, opt).Fingerprint()))
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	old, current := chaos.Options{Seed: 5}, chaos.Options{Seed: 6}
+	if err := svc.persist.store.Put(versionless(old), stale); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.persist.store.Put(cacheKey(g.ID, "SSSP", mergeOptions(labOptions, current)), stale); err != nil {
+		t.Fatal(err)
+	}
+
+	hit, err := svc.Submit(g.ID, "SSSP", current)
+	if err != nil || !hit.CacheHit {
+		t.Fatalf("blob under the current key not served: %+v, %v", hit, err)
+	}
+	jv, err := svc.Submit(g.ID, "SSSP", old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitJob(t, svc, jv.ID)
+	if done.CacheHit || done.State != JobDone || done.Result == nil || done.Result.Vertices != 1<<6 {
+		t.Errorf("version-less blob served or job failed: %+v", done)
 	}
 }

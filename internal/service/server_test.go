@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -12,92 +13,66 @@ import (
 	"chaos"
 )
 
-// TestJobOptionsCoverAllOptionFields reflects over chaos.Options and the
-// wire form: every engine knob must have a same-named wire field, so a
-// new option cannot be silently dropped by the job API.
-func TestJobOptionsCoverAllOptionFields(t *testing.T) {
-	opt := reflect.TypeOf(chaos.Options{})
-	wire := reflect.TypeOf(jobOptions{})
-	for i := 0; i < opt.NumField(); i++ {
-		name := opt.Field(i).Name
-		if _, ok := wire.FieldByName(name); !ok {
-			t.Errorf("chaos.Options.%s has no jobOptions counterpart", name)
-		}
-	}
-	for i := 0; i < wire.NumField(); i++ {
-		name := wire.Field(i).Name
-		if _, ok := opt.FieldByName(name); !ok {
-			t.Errorf("jobOptions.%s does not correspond to a chaos.Options field", name)
-		}
-	}
+// everyOption sets every chaos.Options field away from its zero value.
+var everyOption = chaos.Options{
+	Machines:          3,
+	Storage:           chaos.HDD,
+	Network:           chaos.Net1GigE,
+	Cores:             8,
+	ChunkBytes:        1 << 12,
+	VertexChunkBytes:  1 << 11,
+	MemBudgetBytes:    1 << 21,
+	MemoryBudgetMB:    12,
+	BatchK:            7,
+	WindowOverride:    9,
+	Alpha:             2.5,
+	DisableStealing:   true,
+	AlwaysSteal:       true,
+	CheckpointEvery:   2,
+	FailAtIteration:   3,
+	CentralDirectory:  true,
+	CombineUpdates:    true,
+	RewriteEdges:      true,
+	ReplicateVertices: true,
+	MaxIterations:     42,
+	LatencyScale:      0.25,
+	Engine:            chaos.EngineNative,
+	Seed:              99,
 }
 
-// TestJobOptionsRoundTrip sets every wire field to a non-default value
-// and checks resolve carries each one into the engine options.
+// TestJobOptionsRoundTrip posts a body that sets every option, checks
+// each one reaches chaos.Options, and that the journal form written back
+// decodes to the same options.
 func TestJobOptionsRoundTrip(t *testing.T) {
-	req := jobRequest{
-		Graph:     "g",
-		Algorithm: "pagerank",
-		Options: jobOptions{
-			Machines:          3,
-			Storage:           "hdd",
-			Network:           "1g",
-			Cores:             8,
-			ChunkBytes:        1 << 12,
-			VertexChunkBytes:  1 << 11,
-			MemBudgetBytes:    1 << 21,
-			MemoryBudgetMB:    12,
-			BatchK:            7,
-			WindowOverride:    9,
-			Alpha:             2.5,
-			DisableStealing:   true,
-			AlwaysSteal:       true,
-			CheckpointEvery:   2,
-			FailAtIteration:   3,
-			CentralDirectory:  true,
-			CombineUpdates:    true,
-			RewriteEdges:      true,
-			ReplicateVertices: true,
-			MaxIterations:     42,
-			LatencyScale:      0.25,
-			Engine:            "native",
-			Seed:              99,
-		},
+	body := `{"graph":"g","algorithm":"pagerank","options":{
+		"machines":3,"storage":"hdd","network":"1g","cores":8,"chunkBytes":4096,
+		"vertexChunkBytes":2048,"memBudgetBytes":2097152,"memoryBudgetMB":12,"batchK":7,
+		"windowOverride":9,"alpha":2.5,"disableStealing":true,"alwaysSteal":true,
+		"checkpointEvery":2,"failAtIteration":3,"centralDirectory":true,"combineUpdates":true,
+		"rewriteEdges":true,"replicateVertices":true,"maxIterations":42,"latencyScale":0.25,
+		"engine":"native","seed":99}}`
+	var req jobRequest
+	r := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body))
+	if err := decodeStrict(httptest.NewRecorder(), r, &req, maxBodyBytes); err != nil {
+		t.Fatal(err)
 	}
-	alg, got, err := req.resolve()
+	want := everyOption
+	if req.Options != want {
+		t.Errorf("decoded options\n got %+v\nwant %+v", req.Options, want)
+	}
+	v := reflect.ValueOf(want)
+	for i := range v.NumField() {
+		if v.Field(i).IsZero() {
+			t.Errorf("everyOption leaves %s zero, so the body need not set it", v.Type().Field(i).Name)
+		}
+	}
+	data, err := json.Marshal(req.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alg != "PR" {
-		t.Errorf("algorithm = %q, want PR", alg)
-	}
-	want := chaos.Options{
-		Machines:          3,
-		Storage:           chaos.HDD,
-		Network:           chaos.Net1GigE,
-		Cores:             8,
-		ChunkBytes:        1 << 12,
-		VertexChunkBytes:  1 << 11,
-		MemBudgetBytes:    1 << 21,
-		MemoryBudgetMB:    12,
-		BatchK:            7,
-		WindowOverride:    9,
-		Alpha:             2.5,
-		DisableStealing:   true,
-		AlwaysSteal:       true,
-		CheckpointEvery:   2,
-		FailAtIteration:   3,
-		CentralDirectory:  true,
-		CombineUpdates:    true,
-		RewriteEdges:      true,
-		ReplicateVertices: true,
-		MaxIterations:     42,
-		LatencyScale:      0.25,
-		Engine:            chaos.EngineNative,
-		Seed:              99,
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("resolved options\n got %+v\nwant %+v", got, want)
+	var back chaos.Options
+	if err := json.Unmarshal(data, &back); err != nil || back != want {
+		t.Errorf("journal form %s decoded to %+v, %v", data, back, err)
 	}
 }
 
@@ -158,7 +133,7 @@ func TestListJobsQuery(t *testing.T) {
 	for i := range ids {
 		var jv JobView
 		if code, body := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-			jobRequest{Graph: "g", Algorithm: "PR", Options: jobOptions{Seed: int64(i + 1)}}, &jv); code != http.StatusAccepted {
+			jobRequest{Graph: "g", Algorithm: "PR", Options: chaos.Options{Seed: int64(i + 1)}}, &jv); code != http.StatusAccepted {
 			t.Fatalf("submit: %d %s", code, body)
 		}
 		ids[i] = jv.ID
@@ -220,4 +195,30 @@ func TestPostRejectsOversizedBody(t *testing.T) {
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("graph body over the upload cap: status %d, want 413", w.Code)
 	}
+}
+
+// FuzzJobRequest feeds arbitrary bodies to the POST /v1/jobs decode. It
+// must never panic, and every body it accepts must yield options whose
+// journal form (their JSON encoding) decodes back to the same
+// fingerprint, so a restarted server keys the job's result identically.
+// The seed corpus lives in testdata/fuzz/FuzzJobRequest.
+func FuzzJobRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req jobRequest
+		r := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
+		if decodeStrict(httptest.NewRecorder(), r, &req, maxBodyBytes) != nil {
+			return
+		}
+		data, err := json.Marshal(req.Options)
+		if err != nil {
+			t.Fatalf("accepted options %+v do not marshal: %v", req.Options, err)
+		}
+		var back chaos.Options
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("journal form %s does not decode: %v", data, err)
+		}
+		if got, want := back.Fingerprint(), req.Options.Fingerprint(); got != want {
+			t.Fatalf("fingerprint moved across the journal form %s:\n got %s\nwant %s", data, got, want)
+		}
+	})
 }

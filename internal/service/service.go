@@ -25,6 +25,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"time"
 
@@ -286,7 +287,7 @@ func (s *Service) RegisterGraph(spec GraphSpec) (*Graph, error) {
 
 // Submit enqueues a job for graph id, serving it from the result cache
 // when an identical (graph, algorithm, canonical options) run has already
-// completed. The algorithm name must be canonical (see chaos.ParseOptions).
+// completed.
 func (s *Service) Submit(graphID, algorithm string, opt chaos.Options) (JobView, error) {
 	return s.SubmitCtx(context.Background(), graphID, algorithm, opt)
 }
@@ -296,13 +297,23 @@ func (s *Service) Submit(graphID, algorithm string, opt chaos.Options) (JobView,
 // roots in that request (and in the caller's inbound traceparent, when
 // one was sent). The context carries only observational trace state —
 // cancellation and deadlines are the job's own affair once admitted.
+//
+// The algorithm and engine names are validated and canonicalized here,
+// through the same chaos.Parse* helpers the CLIs use, so Go and HTTP
+// callers are rejected with identical messages and the canonical
+// spellings are what gets journaled.
 func (s *Service) SubmitCtx(ctx context.Context, graphID, algorithm string, opt chaos.Options) (JobView, error) {
+	algorithm, err := chaos.ParseAlgorithm(algorithm)
+	if err != nil {
+		return JobView{}, err
+	}
+	opt = mergeOptions(s.cfg.BaseOptions, opt)
+	if opt.Engine, err = chaos.ParseEngine(opt.Engine); err != nil {
+		return JobView{}, err
+	}
 	g, ok := s.catalog.Get(graphID)
 	if !ok {
 		return JobView{}, &notFoundError{what: "graph", id: graphID}
-	}
-	if _, err := chaos.ViewFor(algorithm); err != nil {
-		return JobView{}, err
 	}
 	if chaos.NeedsWeights(algorithm) && !g.Weighted {
 		// chaos-run guards this by generating weights on demand; with a
@@ -311,7 +322,6 @@ func (s *Service) SubmitCtx(ctx context.Context, graphID, algorithm string, opt 
 		// all-zero distances/weights.
 		return JobView{}, fmt.Errorf("service: %s needs edge weights but graph %q is unweighted", algorithm, g.ID)
 	}
-	opt = mergeOptions(s.cfg.BaseOptions, opt)
 	rt := reqTraceFrom(ctx)
 	if res, rep, ok := s.cache.lookup(cacheKey(g.ID, algorithm, opt)); ok {
 		return s.scheduler.AdmitCachedTraced(rt, g.ID, algorithm, opt, res, rep)
@@ -319,50 +329,27 @@ func (s *Service) SubmitCtx(ctx context.Context, graphID, algorithm string, opt 
 	return s.scheduler.SubmitTraced(rt, g.ID, algorithm, opt)
 }
 
-// mergeOptions fills zero-valued fields of opt from base. Only the knobs
-// a serving deployment plausibly pins are merged: hardware sizing, chunk
-// geometry and latency scale.
+// mergeOptions fills every zero-valued field of opt from base, the
+// deployment's defaults (chaos-serve -chunk-kb, -engine,
+// -memory-budget-mb). LatencyScale is the exception: it must follow the
+// chunk size unless the request pins it, because shrinking chunks by f
+// without shrinking fixed latencies by f distorts the
+// latency-to-service-time ratio (DESIGN.md). The base scale only applies
+// to the base chunk size it was derived for.
 func mergeOptions(base, opt chaos.Options) chaos.Options {
-	if opt.Machines == 0 {
-		opt.Machines = base.Machines
-	}
-	if opt.Cores == 0 {
-		opt.Cores = base.Cores
-	}
-	if opt.ChunkBytes == 0 {
-		opt.ChunkBytes = base.ChunkBytes
-	}
-	if opt.VertexChunkBytes == 0 {
-		opt.VertexChunkBytes = base.VertexChunkBytes
-	}
-	if opt.MemBudgetBytes == 0 {
-		opt.MemBudgetBytes = base.MemBudgetBytes
-	}
-	if opt.MemoryBudgetMB == 0 {
-		opt.MemoryBudgetMB = base.MemoryBudgetMB
-	}
-	// LatencyScale must follow the chunk size unless the request pins it:
-	// shrinking chunks by f without shrinking fixed latencies by f
-	// distorts the latency-to-service-time ratio (DESIGN.md). The base
-	// scale only applies to the base chunk size it was derived for.
-	if opt.LatencyScale == 0 {
-		if opt.ChunkBytes == base.ChunkBytes && base.LatencyScale != 0 {
-			opt.LatencyScale = base.LatencyScale
-		} else {
-			cb := opt.ChunkBytes
-			if cb == 0 {
-				cb = 4 << 20
-			}
-			opt.LatencyScale = float64(cb) / float64(4<<20)
+	pinnedScale := opt.LatencyScale != 0
+	o, b := reflect.ValueOf(&opt).Elem(), reflect.ValueOf(base)
+	for i := range o.NumField() {
+		if f := o.Field(i); f.IsZero() {
+			f.Set(b.Field(i))
 		}
 	}
-	if opt.Seed == 0 {
-		opt.Seed = base.Seed
-	}
-	// The execution engine is a deployment default too (chaos-serve
-	// -engine); a job that names one explicitly keeps it.
-	if opt.Engine == "" {
-		opt.Engine = base.Engine
+	if !pinnedScale && (opt.ChunkBytes != base.ChunkBytes || base.LatencyScale == 0) {
+		cb := opt.ChunkBytes
+		if cb == 0 {
+			cb = 4 << 20
+		}
+		opt.LatencyScale = float64(cb) / float64(4<<20)
 	}
 	return opt
 }

@@ -141,7 +141,7 @@ func TestEndToEnd(t *testing.T) {
 			code, body := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs", jobRequest{
 				Graph:     "rmat8",
 				Algorithm: strings.ToLower(sub.alg), // exercises case-insensitive parsing
-				Options:   jobOptions{Machines: 2, Seed: sub.seed},
+				Options:   chaos.Options{Machines: 2, Seed: sub.seed},
 			}, &jv)
 			if code != http.StatusAccepted {
 				t.Errorf("submit %s: %d %s", sub.alg, code, body)
@@ -185,7 +185,7 @@ func TestEndToEnd(t *testing.T) {
 	code, body = doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs", jobRequest{
 		Graph:     "rmat8",
 		Algorithm: "BFS",
-		Options:   jobOptions{Machines: 2, Seed: 7},
+		Options:   chaos.Options{Machines: 2, Seed: 7},
 	}, &hit)
 	if code != http.StatusAccepted {
 		t.Fatalf("resubmit: %d %s", code, body)
@@ -240,7 +240,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	if code, _ := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-		jobRequest{Graph: "rmat8", Algorithm: "PR", Options: jobOptions{Seed: 99}}, nil); code != http.StatusServiceUnavailable {
+		jobRequest{Graph: "rmat8", Algorithm: "PR", Options: chaos.Options{Seed: 99}}, nil); code != http.StatusServiceUnavailable {
 		t.Errorf("submit after shutdown: code %d, want 503", code)
 	}
 }
@@ -278,7 +278,7 @@ func TestUploadedGraphMatchesDirectRun(t *testing.T) {
 
 	var jv JobView
 	if code, body := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-		jobRequest{Graph: "up", Algorithm: "BFS", Options: jobOptions{Seed: 3}}, &jv); code != http.StatusAccepted {
+		jobRequest{Graph: "up", Algorithm: "BFS", Options: chaos.Options{Seed: 3}}, &jv); code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, body)
 	}
 	got := pollJob(t, client, ts.URL, jv.ID)
@@ -357,6 +357,14 @@ func TestMergeOptionsLatencyScale(t *testing.T) {
 	if got.LatencyScale != 1 {
 		t.Errorf("paper defaults: scale %v, want 1", got.LatencyScale)
 	}
+	// Every other field a request leaves zero is inherited, and every
+	// field it sets is kept.
+	if got := mergeOptions(everyOption, chaos.Options{}); got != everyOption {
+		t.Errorf("inherit all:\n got %+v\nwant %+v", got, everyOption)
+	}
+	if got := mergeOptions(chaos.Options{}, everyOption); got != everyOption {
+		t.Errorf("keep all:\n got %+v\nwant %+v", got, everyOption)
+	}
 }
 
 // TestCacheKeyCanonicalization checks that requests differing only in
@@ -380,9 +388,8 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	// machines:1, storage "ssd", network "40g" are all defaults; the
 	// fingerprint must not distinguish them from the zero request.
 	var second JobView
-	code, body := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-		jobRequest{Graph: "tiny", Algorithm: "pagerank",
-			Options: jobOptions{Machines: 1, Storage: "ssd", Network: "40g"}}, &second)
+	code, body := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs", json.RawMessage(
+		`{"graph":"tiny","algorithm":"pagerank","options":{"machines":1,"storage":"ssd","network":"40g"}}`), &second)
 	if code != http.StatusAccepted {
 		t.Fatalf("resubmit: %d %s", code, body)
 	}

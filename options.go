@@ -1,7 +1,10 @@
 package chaos
 
 import (
+	"encoding"
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 )
@@ -22,6 +25,54 @@ func (n Network) String() string {
 		return "1g"
 	}
 	return "40g"
+}
+
+// MarshalText encodes the storage device by its flag/API name, the form
+// the job API, the journal and the -storage flag carry.
+func (s Storage) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText is the inverse of MarshalText (see ParseStorage).
+func (s *Storage) UnmarshalText(text []byte) (err error) {
+	*s, err = ParseStorage(string(text))
+	return err
+}
+
+// UnmarshalJSON accepts the name or a legacy integer (see decodeHardware).
+func (s *Storage) UnmarshalJSON(data []byte) (err error) {
+	*s, err = decodeHardware(data, ParseStorage)
+	return err
+}
+
+// MarshalText encodes the network by its flag/API name, the form the job
+// API, the journal and the -network flag carry.
+func (n Network) MarshalText() ([]byte, error) { return []byte(n.String()), nil }
+
+// UnmarshalText is the inverse of MarshalText (see ParseNetwork).
+func (n *Network) UnmarshalText(text []byte) (err error) {
+	*n, err = ParseNetwork(string(text))
+	return err
+}
+
+// UnmarshalJSON accepts the name or a legacy integer (see decodeHardware).
+func (n *Network) UnmarshalJSON(data []byte) (err error) {
+	*n, err = decodeHardware(data, ParseNetwork)
+	return err
+}
+
+// decodeHardware decodes a Storage or Network JSON value: its name as a
+// string, or one of the integers 0 and 1 that journals and snapshots
+// stored before these types had a text form. Any other JSON value is no
+// valid name, so parse rejects its raw text with the usual message.
+func decodeHardware[T ~int](data []byte, parse func(string) (T, error)) (T, error) {
+	switch string(data) {
+	case "0", "1":
+		return T(data[0] - '0'), nil
+	}
+	var name string
+	if json.Unmarshal(data, &name) != nil {
+		name = string(data)
+	}
+	return parse(name)
 }
 
 // ParseAlgorithm resolves a case-insensitive algorithm name to its
@@ -77,35 +128,6 @@ func ParseEngine(name string) (string, error) {
 		return EngineNative, nil
 	}
 	return "", fmt.Errorf("chaos: unknown engine %q (want sim or native)", name)
-}
-
-// ParseOptions validates the string-typed knobs shared by the CLIs and
-// the job service — algorithm, storage and network names — and returns
-// the canonical algorithm name plus base with the parsed hardware
-// applied. An empty algorithm skips algorithm resolution (for callers
-// that only need the hardware), and empty storage/network strings leave
-// the paper defaults. Routing every front end through this one helper
-// keeps their validation and error messages identical.
-func ParseOptions(alg, storage, network string, base Options) (string, Options, error) {
-	canon := ""
-	if alg != "" {
-		var err error
-		canon, err = ParseAlgorithm(alg)
-		if err != nil {
-			return "", base, err
-		}
-	}
-	st, err := ParseStorage(storage)
-	if err != nil {
-		return "", base, err
-	}
-	net, err := ParseNetwork(network)
-	if err != nil {
-		return "", base, err
-	}
-	base.Storage = st
-	base.Network = net
-	return canon, base, nil
 }
 
 // Canonical returns o with every implied default made explicit, such that
@@ -167,10 +189,7 @@ func (o Options) Canonical() Options {
 	}
 	// CentralDirectory, CombineUpdates, RewriteEdges and
 	// ReplicateVertices are pure feature toggles with no implied
-	// defaults: their canonical form is themselves. Named here so the
-	// fingerprint analyzer proves no field was forgotten instead of
-	// assuming the `c := o` copy was intentional.
-	_, _, _, _ = c.CentralDirectory, c.CombineUpdates, c.RewriteEdges, c.ReplicateVertices
+	// defaults: their canonical form is themselves.
 	if c.FailAtIteration < 0 {
 		c.FailAtIteration = 0
 	}
@@ -193,67 +212,61 @@ func (o Options) Canonical() Options {
 	return c
 }
 
-// fingerprintFields lists, in encoding order, the Options field each
-// Fingerprint component is derived from. TestFingerprintCoversAllFields
-// reflects over Options and fails when a field is added without extending
-// both this table and the encoder below — the guard that keeps new fields
-// from silently falling out of the result-cache key.
-var fingerprintFields = []string{
-	"Machines", "Storage", "Network", "Cores", "ChunkBytes",
-	"VertexChunkBytes", "MemBudgetBytes", "MemoryBudgetMB", "BatchK",
-	"WindowOverride",
-	"Alpha", "DisableStealing", "AlwaysSteal", "CheckpointEvery",
-	"FailAtIteration", "CentralDirectory", "CombineUpdates",
-	"RewriteEdges", "ReplicateVertices", "MaxIterations", "LatencyScale",
-	"Engine", "Seed",
+// retiredFingerprint holds the components of options that no longer
+// exist, keyed by the tag of the field they followed. Emitting them as
+// fixed literals keeps the cache keys of existing result stores valid.
+var retiredFingerprint = map[string]string{
+	"latencyScale": "computeWorkers=0;",
+	"engine":       "nativeBarrier=false;",
 }
+
+var textMarshalerType = reflect.TypeFor[encoding.TextMarshaler]()
 
 // Fingerprint returns a deterministic string identifying the effective
 // configuration. Two Options share a fingerprint exactly when their
 // canonical forms are equal; the job service hashes it (together with the
 // graph and algorithm) to content-address cached results.
 //
-// Every field is encoded explicitly, field by field. The previous
-// implementation rendered the struct with fmt's %#v, which would have
-// poisoned cache keys with memory addresses the moment Options grew a
-// pointer, slice or map field.
+// It walks the canonical form's fields in declaration order and emits
+// "tag=value;" for each, the tag being the field's JSON name, so no field
+// can be left out of the cache key. Values are spelled as on the wire
+// (MarshalText) or with strconv by kind, never with %#v, which would put
+// memory addresses into cache keys once Options had a pointer, slice or
+// map field.
 func (o Options) Fingerprint() string {
-	c := o.Canonical()
+	c := reflect.ValueOf(o.Canonical())
 	var b strings.Builder
-	app := func(name, val string) {
-		b.WriteString(name)
+	for i := range c.NumField() {
+		tag, _, _ := strings.Cut(c.Type().Field(i).Tag.Get("json"), ",")
+		b.WriteString(tag)
 		b.WriteByte('=')
-		b.WriteString(val)
+		b.WriteString(fingerprintValue(c.Field(i)))
 		b.WriteByte(';')
+		b.WriteString(retiredFingerprint[tag])
 	}
-	itoa := strconv.Itoa
-	ftoa := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-	btoa := strconv.FormatBool
-	app("machines", itoa(c.Machines))
-	app("storage", c.Storage.String())
-	app("network", c.Network.String())
-	app("cores", itoa(c.Cores))
-	app("chunkBytes", itoa(c.ChunkBytes))
-	app("vertexChunkBytes", itoa(c.VertexChunkBytes))
-	app("memBudgetBytes", strconv.FormatInt(c.MemBudgetBytes, 10))
-	app("memoryBudgetMB", strconv.FormatInt(c.MemoryBudgetMB, 10))
-	app("batchK", itoa(c.BatchK))
-	app("windowOverride", itoa(c.WindowOverride))
-	app("alpha", ftoa(c.Alpha))
-	app("disableStealing", btoa(c.DisableStealing))
-	app("alwaysSteal", btoa(c.AlwaysSteal))
-	app("checkpointEvery", itoa(c.CheckpointEvery))
-	app("failAtIteration", itoa(c.FailAtIteration))
-	app("centralDirectory", btoa(c.CentralDirectory))
-	app("combineUpdates", btoa(c.CombineUpdates))
-	app("rewriteEdges", btoa(c.RewriteEdges))
-	app("replicateVertices", btoa(c.ReplicateVertices))
-	app("maxIterations", itoa(c.MaxIterations))
-	app("latencyScale", ftoa(c.LatencyScale))
-	// computeWorkers and nativeBarrier are retired options: fixed literals keep existing cache keys valid.
-	app("computeWorkers", "0")
-	app("engine", c.Engine)
-	app("nativeBarrier", "false")
-	app("seed", strconv.FormatInt(c.Seed, 10))
 	return b.String()
+}
+
+// fingerprintValue spells one canonical field value. A field of a kind
+// with no spelling here is a programming error, caught by
+// TestFingerprintSensitivity before it can reach a cache key.
+func fingerprintValue(v reflect.Value) string {
+	if v.Type().Implements(textMarshalerType) {
+		text, err := v.Interface().(encoding.TextMarshaler).MarshalText()
+		if err != nil {
+			panic(fmt.Sprintf("chaos: fingerprinting %s: %v", v.Type(), err))
+		}
+		return string(text)
+	}
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		return strconv.FormatInt(v.Int(), 10)
+	case reflect.Float64:
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
+	case reflect.Bool:
+		return strconv.FormatBool(v.Bool())
+	case reflect.String:
+		return v.String()
+	}
+	panic("chaos: no fingerprint spelling for an Options field of kind " + v.Kind().String())
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -46,23 +47,37 @@ func TestParseStorageAndNetwork(t *testing.T) {
 	}
 }
 
-func TestParseOptionsAppliesHardware(t *testing.T) {
-	alg, opt, err := ParseOptions("pagerank", "hdd", "1g", Options{Machines: 4})
+// TestHardwareWireForm checks Storage and Network travel by name, that
+// the integers 0 and 1 older journals stored still decode, and that any
+// other number or name is rejected.
+func TestHardwareWireForm(t *testing.T) {
+	data, err := json.Marshal(Options{Storage: HDD, Network: Net1GigE})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alg != "PR" || opt.Storage != HDD || opt.Network != Net1GigE || opt.Machines != 4 {
-		t.Errorf("got %q %+v", alg, opt)
+	if got := string(data); got != `{"storage":"hdd","network":"1g"}` {
+		t.Errorf("marshaled %s", got)
 	}
-	// Empty algorithm is allowed (hardware-only callers).
-	if _, _, err := ParseOptions("", "", "", Options{}); err != nil {
-		t.Errorf("empty spec should parse: %v", err)
+	for body, want := range map[string]Options{
+		`{"storage":"hdd","network":"1g"}`:   {Storage: HDD, Network: Net1GigE},
+		`{"Storage":1,"Network":1}`:          {Storage: HDD, Network: Net1GigE},
+		`{"storage":0,"network":0}`:          {},
+		`{"storage":"","network":"40gige"}`:  {},
+		`{"storage":null,"network":"1GIGE"}`: {Network: Net1GigE},
+	} {
+		var got Options
+		if err := json.Unmarshal([]byte(body), &got); err != nil || got != want {
+			t.Errorf("%s decoded to %+v, %v; want %+v", body, got, err, want)
+		}
 	}
-	if _, _, err := ParseOptions("PR", "floppy", "", Options{}); err == nil {
-		t.Error("bad storage should error")
-	}
-	if _, _, err := ParseOptions("nope", "", "", Options{}); err == nil {
-		t.Error("bad algorithm should error")
+	for _, body := range []string{
+		`{"storage":7}`, `{"network":2}`, `{"storage":1.0}`, `{"storage":"tape"}`,
+		`{"network":"10g"}`, `{"network":true}`,
+	} {
+		var got Options
+		if err := json.Unmarshal([]byte(body), &got); err == nil || !strings.Contains(err.Error(), "chaos: unknown") {
+			t.Errorf("%s: err = %v, want an unknown-hardware error", body, err)
+		}
 	}
 }
 
@@ -83,67 +98,35 @@ func TestCanonicalMakesDefaultsExplicit(t *testing.T) {
 	}
 }
 
-// TestFingerprintCoversAllFields reflects over Options and checks that
-// the explicit field-by-field Fingerprint encoder covers exactly the
-// struct's fields: adding an Options field without teaching Fingerprint
-// about it must fail this test, not silently fall out of the cache key.
-func TestFingerprintCoversAllFields(t *testing.T) {
-	typ := reflect.TypeOf(Options{})
-	covered := make(map[string]bool, len(fingerprintFields))
-	for _, name := range fingerprintFields {
-		if covered[name] {
-			t.Errorf("fingerprintFields lists %s twice", name)
-		}
-		covered[name] = true
-		if _, ok := typ.FieldByName(name); !ok {
-			t.Errorf("fingerprintFields lists %s, which Options does not have", name)
-		}
-	}
-	for i := 0; i < typ.NumField(); i++ {
-		if name := typ.Field(i).Name; !covered[name] {
-			t.Errorf("Options.%s is not covered by Fingerprint; extend fingerprintFields and the encoder", name)
-		}
-	}
-	// computeWorkers and nativeBarrier are emitted as fixed literals for
-	// options that no longer exist, so no field backs them.
-	const retired = 2
-	if len(fingerprintFields)+retired != strings.Count(Options{}.Fingerprint(), ";") {
-		t.Errorf("encoder emits %d components, fingerprintFields lists %d plus %d retired",
-			strings.Count(Options{}.Fingerprint(), ";"), len(fingerprintFields), retired)
-	}
-}
-
-// TestFingerprintSensitivity flips every canonical-visible field away
-// from its default and checks the fingerprint moves (and that the
-// erased-by-canonicalization knobs don't).
+// TestFingerprintSensitivity sets each Options field, found by
+// reflection, to a non-default value and checks the fingerprint moves:
+// a field that never moves it would be missing from the cache key.
 func TestFingerprintSensitivity(t *testing.T) {
 	base := Options{}.Fingerprint()
-	cases := map[string]Options{
-		"Machines":          {Machines: 3},
-		"Storage":           {Storage: HDD},
-		"Network":           {Network: Net1GigE},
-		"Cores":             {Cores: 8},
-		"ChunkBytes":        {ChunkBytes: 1 << 10},
-		"VertexChunkBytes":  {VertexChunkBytes: 1 << 9},
-		"MemBudgetBytes":    {MemBudgetBytes: 1 << 20},
-		"BatchK":            {BatchK: 7},
-		"WindowOverride":    {WindowOverride: 9},
-		"Alpha":             {Alpha: 2.5},
-		"DisableStealing":   {DisableStealing: true},
-		"AlwaysSteal":       {AlwaysSteal: true},
-		"CheckpointEvery":   {CheckpointEvery: 2},
-		"FailAtIteration":   {FailAtIteration: 3, CheckpointEvery: 1},
-		"CentralDirectory":  {CentralDirectory: true},
-		"CombineUpdates":    {CombineUpdates: true},
-		"RewriteEdges":      {RewriteEdges: true},
-		"ReplicateVertices": {ReplicateVertices: true},
-		"MaxIterations":     {MaxIterations: 42},
-		"LatencyScale":      {LatencyScale: 0.25},
-		"Seed":              {Seed: 99},
-	}
-	for field, opt := range cases {
-		if opt.Fingerprint() == base {
-			t.Errorf("changing %s does not change the fingerprint", field)
+	typ := reflect.TypeOf(Options{})
+	for i := range typ.NumField() {
+		field := typ.Field(i)
+		var candidates []any
+		switch field.Type.Kind() {
+		case reflect.Int, reflect.Int64:
+			candidates = []any{1, 2} // 1 is the default for some fields
+		case reflect.Float64:
+			candidates = []any{2.5}
+		case reflect.Bool:
+			candidates = []any{true}
+		case reflect.String:
+			candidates = []any{EngineNative}
+		default:
+			t.Fatalf("Options.%s has kind %s, which the fingerprint cannot spell", field.Name, field.Type.Kind())
+		}
+		moved := false
+		for _, c := range candidates {
+			var opt Options
+			reflect.ValueOf(&opt).Elem().Field(i).Set(reflect.ValueOf(c).Convert(field.Type))
+			moved = moved || opt.Fingerprint() != base
+		}
+		if !moved {
+			t.Errorf("changing %s does not change the fingerprint", field.Name)
 		}
 	}
 }
