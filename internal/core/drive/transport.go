@@ -33,9 +33,10 @@ type Transport[U any] interface {
 	// Put transfers ownership of recs — one scatter chunk's worth of
 	// updates from partition src to partition dst — to the transport.
 	// The caller must not touch recs afterwards; the transport releases
-	// it to the kernel pools once consumed. The returned tallies report
-	// any spilling the Put triggered, so the driver can emit
-	// PhaseSpill spans without the transport reading a clock.
+	// it to the kernel pools once it has copied or consumed it. The
+	// returned tallies report any spilling the Put triggered, so the
+	// driver can emit PhaseSpill spans without the transport reading a
+	// clock.
 	Put(src, dst int, recs []UpdRec[U]) (spilledBytes int64, spilledChunks int)
 	// PendingBytes is D in the §5.4 steal criterion: the
 	// encoded-equivalent bytes pending for partition dst. A single
@@ -43,8 +44,8 @@ type Transport[U any] interface {
 	PendingBytes(dst int) int64
 	// DrainFrom removes and returns only the chunks src's scatter
 	// emitted for dst, in production order. Each chunk must be Loaded
-	// and then Released. Callable only after scatter(src)'s completion
-	// is published.
+	// and then Released before the bucket's next Put. Callable only
+	// after scatter(src)'s completion is published.
 	DrainFrom(dst, src int) []PendingChunk[U]
 	// Stats reports the cumulative spill tallies of the run.
 	Stats() TransportStats
@@ -62,64 +63,103 @@ type TransportStats struct {
 }
 
 // PendingChunk is one drained update chunk awaiting its gather fold.
-// Load materializes the typed records — a slice hand-back for a resident
-// chunk, a read and decode for a spilled one — and Release returns the
-// scratch to the kernel pools (and, for the last spilled chunk of a
-// drained bucket, reclaims the bucket's spill-file space).
+// Load materializes the typed records — the chunk's own records for a
+// resident chunk, a read and decode for a spilled one — and Release
+// returns the scratch to the kernel pools (and, for the last spilled
+// chunk of a drained bucket, reclaims the bucket's spill-file space).
 type PendingChunk[U any] struct {
 	// Bytes is the chunk's encoded-equivalent size, for byte tallies and
 	// flight-recorder spans.
-	Bytes   int64
+	Bytes int64
+	// recs is a resident chunk's records; load and release are unset.
+	recs    []UpdRec[U]
 	load    func() []UpdRec[U]
 	release func([]UpdRec[U])
 }
 
 // Load materializes the chunk's records. Call exactly once.
-func (c *PendingChunk[U]) Load() []UpdRec[U] { return c.load() }
+func (c *PendingChunk[U]) Load() []UpdRec[U] {
+	if c.load == nil {
+		return c.recs
+	}
+	return c.load()
+}
 
 // Release recycles the records Load returned. Call exactly once, after
 // the fold has consumed them.
-func (c *PendingChunk[U]) Release(recs []UpdRec[U]) { c.release(recs) }
+func (c *PendingChunk[U]) Release(recs []UpdRec[U]) {
+	if c.release != nil {
+		c.release(recs)
+	}
+}
 
-// MemTransport is the zero-copy in-memory transport: pooled typed record
-// slices move from scatter to gather through per-(src, dst) bucket slots
-// with no encode/decode round-trip. Rows are allocated per source
-// partition so concurrent producers write disjoint backing arrays, and
-// the record slices themselves are arena-recycled across iterations
-// through the kernel's per-core sharded pools (sync.Pool is per-P).
+// MemTransport is the in-memory transport of the zero-copy path: typed
+// records never pass through the codec, moving from scatter to gather
+// through one resident record slice per (src, dst) bucket. A Put
+// appends its chunk to the bucket and hands the chunk's slice straight
+// back to the kernel pool, so the scatter's per-chunk scratch stays
+// hot; a drain resets the bucket's length but keeps its capacity, so
+// from the second iteration on the path allocates nothing. Rows are
+// allocated per source partition so concurrent producers write
+// disjoint backing arrays.
 type MemTransport[U any] struct {
 	updBytes int
 	release  func([]UpdRec[U])
-	// buckets[src][dst] holds the chunks src's scatter emitted for dst,
-	// in production order. One writer per row during scatter, one reader
-	// per column once the source completes (see the Transport contract).
-	buckets [][][][]UpdRec[U]
+	// reserve[src][dst], when non-nil, is the record count bucket
+	// (src, dst) allocates on its first Put.
+	reserve [][]int
+	// buckets[src][dst] holds what src's scatter emitted for dst. One
+	// writer per row during scatter, one reader per column once the
+	// source completes (see the Transport contract).
+	buckets [][]memBucket[U]
 	// pending[dst] is the column's encoded-equivalent byte total,
 	// maintained atomically so steal sweeps can read it while producers
 	// are still appending.
 	pending []atomic.Int64
 }
 
+// memBucket is one (src, dst) slot: the records of every Put in
+// production order, the end offset of each Put (the chunk boundaries
+// DrainFrom hands back), and the drained-chunk table it reuses.
+type memBucket[U any] struct {
+	recs   []UpdRec[U]
+	ends   []int
+	chunks []PendingChunk[U]
+}
+
 // NewMemTransport returns the in-memory transport over the kernel's
-// record geometry and pools.
-func (k *Kernel[V, U, A]) NewMemTransport() *MemTransport[U] {
+// record geometry and pools. reserve, when non-nil, sizes each bucket on
+// its first Put: reserve[src][dst] records, an exact upper bound when it
+// counts the edges from partition src to partition dst and every edge
+// emits at most one update to its own destination. Without it (or past
+// it) buckets grow by append; either way they keep their capacity for
+// the rest of the run.
+func (k *Kernel[V, U, A]) NewMemTransport(reserve [][]int) *MemTransport[U] {
 	np := k.Layout.NumPartitions
 	t := &MemTransport[U]{
 		updBytes: k.UpdBytes,
 		release:  k.ReleaseRecs,
-		buckets:  make([][][][]UpdRec[U], np),
+		reserve:  reserve,
+		buckets:  make([][]memBucket[U], np),
 		pending:  make([]atomic.Int64, np),
 	}
 	for src := 0; src < np; src++ {
-		t.buckets[src] = make([][][]UpdRec[U], np)
+		t.buckets[src] = make([]memBucket[U], np)
 	}
 	return t
 }
 
-// Put appends recs as one chunk of bucket (src, dst). Never spills.
+// Put appends recs as one chunk of bucket (src, dst) and releases recs
+// to the kernel pool. Never spills.
 func (t *MemTransport[U]) Put(src, dst int, recs []UpdRec[U]) (int64, int) {
-	t.buckets[src][dst] = append(t.buckets[src][dst], recs)
+	b := &t.buckets[src][dst]
+	if b.recs == nil && t.reserve != nil {
+		b.recs = make([]UpdRec[U], 0, max(t.reserve[src][dst], len(recs)))
+	}
+	b.recs = append(b.recs, recs...)
+	b.ends = append(b.ends, len(b.recs))
 	t.pending[dst].Add(int64(len(recs)) * int64(t.updBytes))
+	t.release(recs)
 	return 0, 0
 }
 
@@ -128,34 +168,36 @@ func (t *MemTransport[U]) PendingBytes(dst int) int64 {
 	return t.pending[dst].Load()
 }
 
-// DrainFrom removes and returns bucket (src, dst)'s chunks in
-// production order.
+// DrainFrom empties bucket (src, dst) and returns one chunk per Put, in
+// production order. The chunks alias the bucket's records and its chunk
+// table: they stay valid until the bucket's next Put or drain, which
+// the Transport contract places after the gather that consumes them.
 func (t *MemTransport[U]) DrainFrom(dst, src int) []PendingChunk[U] {
-	chunks := t.buckets[src][dst]
-	if len(chunks) == 0 {
+	b := &t.buckets[src][dst]
+	if len(b.ends) == 0 {
 		return nil
 	}
-	t.buckets[src][dst] = nil
-	out := make([]PendingChunk[U], 0, len(chunks))
-	var drained int64
-	for _, recs := range chunks {
-		recs := recs
-		sz := int64(len(recs)) * int64(t.updBytes)
-		drained += sz
+	out := b.chunks[:0]
+	lo := 0
+	for _, hi := range b.ends {
 		out = append(out, PendingChunk[U]{
-			Bytes:   sz,
-			load:    func() []UpdRec[U] { return recs },
-			release: t.release,
+			Bytes: int64(hi-lo) * int64(t.updBytes),
+			recs:  b.recs[lo:hi:hi],
 		})
+		lo = hi
 	}
-	t.pending[dst].Add(-drained)
+	b.chunks = out
+	b.recs = b.recs[:0]
+	b.ends = b.ends[:0]
+	t.pending[dst].Add(-int64(lo) * int64(t.updBytes))
 	return out
 }
 
 // Stats reports zero: the in-memory transport never spills.
 func (t *MemTransport[U]) Stats() TransportStats { return TransportStats{} }
 
-// Close is a no-op: all memory is pooled or garbage-collected.
+// Close is a no-op: the buckets are garbage-collected with the
+// transport.
 func (t *MemTransport[U]) Close() error { return nil }
 
 // drainState tracks one drained bucket's outstanding spilled chunks so

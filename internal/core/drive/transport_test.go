@@ -1,6 +1,7 @@
 package drive
 
 import (
+	"sync"
 	"testing"
 
 	"chaos/internal/algorithms"
@@ -86,7 +87,7 @@ func drainAll[U any](tr Transport[U], np, dst int) []UpdRec[U] {
 // back in (source partition, production) order with contents intact.
 func TestMemTransportFoldOrder(t *testing.T) {
 	k := testKernel(t, 3)
-	tr := k.NewMemTransport()
+	tr := k.NewMemTransport(nil)
 	// Interleave producers: src 2 first, then 0, then 2 again, then 1.
 	var want []UpdRec[float32]
 	puts := []struct{ src, base int }{{2, 100}, {0, 200}, {2, 300}, {1, 400}}
@@ -117,6 +118,168 @@ func TestMemTransportFoldOrder(t *testing.T) {
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// drainChunks drains bucket (src, dst) and returns each chunk's records
+// as its own slice (aliasing the transport), plus the chunks' Bytes.
+func drainChunks[U any](tr Transport[U], dst, src int) (chunks [][]UpdRec[U], bytes []int64) {
+	for _, pc := range tr.DrainFrom(dst, src) {
+		recs := pc.Load()
+		chunks = append(chunks, recs)
+		bytes = append(bytes, pc.Bytes)
+		pc.Release(recs)
+	}
+	return chunks, bytes
+}
+
+// equalRecs reports whether two record sequences match element-wise.
+func equalRecs(a, b []UpdRec[float32]) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMemTransportDrainsPutsInOrder pins the resident-bucket contract:
+// draining bucket (src, dst) yields exactly one chunk per Put, in
+// production order, each with its Put's records and Bytes — so the
+// gather's fold sequence, byte tallies and chunk counts are those of
+// the Puts themselves — whether or not the bucket was presized, and when
+// the Puts overrun the reserved count.
+func TestMemTransportDrainsPutsInOrder(t *testing.T) {
+	k := testKernel(t, 3)
+	sizes := []int{5, 1, 9, 3, 7}
+	for _, tc := range []struct {
+		name    string
+		reserve int
+	}{{"grow", -1}, {"exact", 25}, {"overrun", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var reserve [][]int
+			if tc.reserve >= 0 {
+				reserve = [][]int{{0, 0, 0}, {0, 0, 0}, {0, tc.reserve, 0}}
+			}
+			tr := k.NewMemTransport(reserve)
+			var want [][]UpdRec[float32]
+			for i, n := range sizes {
+				c := chunkOf(100*i, n)
+				want = append(want, c)
+				tr.Put(2, 1, append([]UpdRec[float32](nil), c...))
+				// Other buckets of the row and column interleave.
+				tr.Put(2, 0, chunkOf(900, 2))
+				tr.Put(0, 1, chunkOf(800, 2))
+			}
+			got, bytes := drainChunks[float32](tr, 1, 2)
+			if len(got) != len(want) {
+				t.Fatalf("drained %d chunks, want one per Put (%d)", len(got), len(want))
+			}
+			for i := range want {
+				if !equalRecs(got[i], want[i]) {
+					t.Fatalf("chunk %d: got %+v, want %+v", i, got[i], want[i])
+				}
+				if wb := int64(len(want[i])) * int64(k.UpdBytes); bytes[i] != wb {
+					t.Errorf("chunk %d: Bytes = %d, want %d", i, bytes[i], wb)
+				}
+			}
+			if again := tr.DrainFrom(1, 2); len(again) != 0 {
+				t.Errorf("second drain returned %d chunks, want none", len(again))
+			}
+			if got, want := tr.PendingBytes(1), int64(2*len(sizes))*int64(k.UpdBytes); got != want {
+				t.Errorf("PendingBytes(1) = %d after draining src 2, want src 0's %d", got, want)
+			}
+		})
+	}
+}
+
+// TestMemTransportReusesBuckets checks that a drained bucket keeps its
+// backing array: the next round's Puts land in the same memory, and the
+// next drain returns only that round's records.
+func TestMemTransportReusesBuckets(t *testing.T) {
+	k := testKernel(t, 2)
+	tr := k.NewMemTransport([][]int{{0, 16}, {0, 0}})
+	tr.Put(0, 1, chunkOf(100, 6))
+	tr.Put(0, 1, chunkOf(200, 4))
+	first, _ := drainChunks[float32](tr, 1, 0)
+	if len(first) != 2 {
+		t.Fatalf("first round drained %d chunks, want 2", len(first))
+	}
+	base := &first[0][0]
+
+	tr.Put(0, 1, chunkOf(300, 3))
+	second, _ := drainChunks[float32](tr, 1, 0)
+	if len(second) != 1 || !equalRecs(second[0], chunkOf(300, 3)) {
+		t.Fatalf("second round drained %+v, want only chunk 300", second)
+	}
+	if &second[0][0] != base {
+		t.Error("second round did not reuse the first round's backing array")
+	}
+}
+
+// TestMemTransportConcurrentRounds runs the native store's discipline
+// under the race detector: one producer goroutine per source row, one
+// consumer per destination column draining each source as its
+// completion closes, over two rounds of the same buckets. Each column
+// must see every source's chunks in (source, production) order.
+func TestMemTransportConcurrentRounds(t *testing.T) {
+	const np, puts, per = 4, 5, 8
+	k := testKernel(t, np)
+	reserve := make([][]int, np)
+	for src := range reserve {
+		reserve[src] = make([]int, np)
+		for dst := range reserve[src] {
+			reserve[src][dst] = puts * per
+		}
+	}
+	tr := k.NewMemTransport(reserve)
+	chunk := func(round, src, dst, i int) []UpdRec[float32] {
+		return chunkOf(((round*np+src)*np+dst)*puts*per+i*per, per)
+	}
+	for round := 0; round < 2; round++ {
+		done := make([]chan struct{}, np)
+		for i := range done {
+			done[i] = make(chan struct{})
+		}
+		var wg sync.WaitGroup
+		wg.Add(2 * np)
+		for src := 0; src < np; src++ {
+			go func(src int) {
+				defer wg.Done()
+				for i := 0; i < puts; i++ {
+					for dst := 0; dst < np; dst++ {
+						tr.Put(src, dst, chunk(round, src, dst, i))
+						_ = tr.PendingBytes((dst + 1) % np)
+					}
+				}
+				close(done[src])
+			}(src)
+		}
+		errs := make([]string, np)
+		for dst := 0; dst < np; dst++ {
+			go func(dst int) {
+				defer wg.Done()
+				for src := 0; src < np; src++ {
+					<-done[src]
+					got, _ := drainChunks[float32](tr, dst, src)
+					for i := 0; i < puts; i++ {
+						if i >= len(got) || !equalRecs(got[i], chunk(round, src, dst, i)) {
+							errs[dst] = "column drained out of order"
+							return
+						}
+					}
+				}
+			}(dst)
+		}
+		wg.Wait()
+		for dst, e := range errs {
+			if e != "" {
+				t.Fatalf("round %d, dst %d: %s", round, dst, e)
+			}
+		}
 	}
 }
 
@@ -199,7 +362,7 @@ func TestStreamingDrainFoldOrder(t *testing.T) {
 	// spilled prefix then the mem tail.
 	budget := int64(2*chunkRecs+1) * int64(k.UpdBytes)
 	transports := map[string]Transport[float32]{
-		"mem":   k.NewMemTransport(),
+		"mem":   k.NewMemTransport(nil),
 		"spill": k.NewSpillTransport(budget, backend, nil),
 	}
 	for _, name := range []string{"mem", "spill"} {

@@ -92,10 +92,10 @@ type run[V, U, A any] struct {
 	edgesNext [][][]byte
 
 	// tr carries updates from scatter to gather through the transport
-	// seam (internal/core/drive): typed record slices through
-	// per-(src, dst) buckets under the one-writer-until-completion
-	// discipline, zero-copy in memory and — past
-	// Config.TransportBudgetBytes — encoded onto spill files.
+	// seam (internal/core/drive): typed records through per-(src, dst)
+	// buckets under the one-writer-until-completion discipline —
+	// resident buckets presized by preprocess, or, past
+	// Config.TransportBudgetBytes, encoded onto spill files.
 	tr drive.Transport[U]
 
 	// Per-phase partition ownership tables: masters claim their own
@@ -224,9 +224,9 @@ func newRun[V, U, A any](cfg core.Config, prog gas.Program[V, U, A], edges []gra
 			return nil, err
 		}
 		r.tr = r.kern.NewSpillTransport(cfg.TransportBudgetBytes, backend, func() error { return os.RemoveAll(dir) })
-	} else {
-		r.tr = r.kern.NewMemTransport()
 	}
+	// Without a budget the in-memory transport is built by preprocess,
+	// which sizes its buckets from the edge counts it bins.
 	r.scatterClaimed = make([]atomic.Bool, np)
 	r.gatherClaimed = make([]atomic.Bool, np)
 	r.scatterDone = make([]chan struct{}, np)
@@ -266,6 +266,9 @@ func (r *run[V, U, A]) execute(edges []graph.Edge) (interrupted bool, err error)
 	// consumed by the gather preceding each decision point, so nothing
 	// pending is lost).
 	defer func() {
+		if r.tr == nil {
+			return
+		}
 		if cerr := r.tr.Close(); cerr != nil && err == nil {
 			err = cerr
 		}

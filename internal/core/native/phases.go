@@ -15,6 +15,15 @@ import (
 // their input slices concurrently; per-partition chunk lists are
 // concatenated in machine order so the edge stream every later scatter
 // sees is deterministic.
+//
+// Without a transport budget, preprocess also builds the in-memory
+// transport, sized the way Chaos sizes its update buffers up front: the
+// same pass counts edges per (source, destination) partition pair, and
+// each resident bucket allocates that count on its first Put. Every
+// built-in program emits at most one update per edge, to the edge's
+// destination, so the count bounds what a plain scatter puts in the
+// bucket. The combiner and the rewriter change what a scatter emits, so
+// under them buckets grow by append instead.
 
 func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
 	np := r.layout.NumPartitions
@@ -22,10 +31,13 @@ func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
 	edgeSize := r.kern.EdgeFmt.EdgeSize()
 	limit := drive.SpillLimit(r.cfg.ChunkBytes, edgeSize)
 	needDeg := r.prog.NeedsDegrees()
+	mem := r.tr == nil
+	countPairs := mem && r.kern.Combiner == nil && r.kern.Rewriter == nil
 
 	type binned struct {
 		chunks [][][]byte // per partition
 		deg    [][]uint32 // per partition, nil unless needDeg
+		pairs  [][]int    // per source partition, per destination; nil unless countPairs
 	}
 	bins := make([]binned, r.nm)
 	var wg sync.WaitGroup
@@ -39,14 +51,23 @@ func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
 			if needDeg {
 				b.deg = make([][]uint32, np)
 			}
+			if countPairs {
+				b.pairs = make([][]int, np)
+			}
 			tails := make([][]byte, np)
 			for _, e := range perMachine[m] {
 				p := r.layout.Of(e.Src)
 				buf := tails[p]
+				if buf == nil {
+					// Every chunk is exactly limit bytes — a whole
+					// number of edges — but the last, so allocate it
+					// once at its final size and fill it by reslicing.
+					buf = make([]byte, 0, limit)
+				}
 				off := len(buf)
-				buf = append(buf, make([]byte, edgeSize)...)
+				buf = buf[:off+edgeSize]
 				r.kern.EdgeFmt.Encode(buf[off:], e)
-				if len(buf) >= limit {
+				if len(buf) == limit {
 					b.chunks[p] = append(b.chunks[p], buf)
 					buf = nil
 				}
@@ -59,6 +80,14 @@ func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
 					}
 					lo, _ := r.layout.Range(p)
 					deg[e.Src-lo]++
+				}
+				if countPairs {
+					row := b.pairs[p]
+					if row == nil {
+						row = make([]int, np)
+						b.pairs[p] = row
+					}
+					row[r.layout.Of(e.Dst)]++
 				}
 			}
 			for p, buf := range tails {
@@ -85,10 +114,17 @@ func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
 	wg.Wait()
 
 	// Concatenate in machine order (the deterministic stream order) and
-	// fold degrees.
+	// fold degrees and pair counts.
 	var degAcc [][]uint32
 	if needDeg {
 		degAcc = make([][]uint32, np)
+	}
+	var reserve [][]int
+	if countPairs {
+		reserve = make([][]int, np)
+		for p := range reserve {
+			reserve[p] = make([]int, np)
+		}
 	}
 	for m := range bins {
 		for p, chunks := range bins[m].chunks {
@@ -110,6 +146,14 @@ func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
 				}
 			}
 		}
+		for p, row := range bins[m].pairs {
+			for dst, n := range row {
+				reserve[p][dst] += n
+			}
+		}
+	}
+	if mem {
+		r.tr = r.kern.NewMemTransport(reserve)
 	}
 
 	// Initialize vertex values straight into the resident store. Init
@@ -180,9 +224,9 @@ func storedBytes(chunks [][]byte) int64 {
 // ---------------------------------------------------------------------------
 // Scatter phase (§5.1): stream the partition's edge chunks in order, run
 // the shared typed scatter kernel over the resident vertex values, and
-// merge each chunk's result into the update transport as it goes: record
-// slices move into the per-(src, dst) buckets zero-copy, and only a
-// spilling transport ever encodes them.
+// merge each chunk's result into the update transport as it goes: typed
+// records go into the per-(src, dst) buckets, and only a spilling
+// transport ever encodes them.
 
 func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 	kern := r.kern

@@ -114,3 +114,25 @@ func TestParseTraceparentMalformed(t *testing.T) {
 		t.Fatal("future-version traceparent with extra fields was rejected")
 	}
 }
+
+// FuzzParseTraceparent feeds arbitrary header values to the parser that
+// sits on every request's path: it must never panic, and every header it
+// accepts must name ids that survive a round trip through Traceparent.
+// Seeds: testdata/fuzz/FuzzParseTraceparent/.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, h string) {
+		tid, sid, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if tid.IsZero() || sid.IsZero() {
+			t.Fatalf("ParseTraceparent(%q) accepted an all-zero id", h)
+		}
+		back := Traceparent(tid, sid)
+		gotT, gotS, ok := ParseTraceparent(back)
+		if !ok || gotT != tid || gotS != sid {
+			t.Fatalf("ParseTraceparent(%q) = (%s, %s), but its re-render %q parses to (%s, %s, %v)",
+				h, tid, sid, back, gotT, gotS, ok)
+		}
+	})
+}
