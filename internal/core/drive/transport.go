@@ -95,19 +95,16 @@ func (c *PendingChunk[U]) Release(recs []UpdRec[U]) {
 
 // MemTransport is the in-memory transport of the zero-copy path: typed
 // records never pass through the codec, moving from scatter to gather
-// through one resident record slice per (src, dst) bucket. A Put
-// appends its chunk to the bucket and hands the chunk's slice straight
-// back to the kernel pool, so the scatter's per-chunk scratch stays
-// hot; a drain resets the bucket's length but keeps its capacity, so
-// from the second iteration on the path allocates nothing. Rows are
-// allocated per source partition so concurrent producers write
-// disjoint backing arrays.
+// through resident record segments per (src, dst) bucket. A Put copies
+// its chunk into the bucket and hands the chunk's slice straight back to
+// the kernel pool, so the scatter's per-chunk scratch stays hot; a drain
+// empties the bucket's segments but keeps them, so once each bucket has
+// held its largest iteration the path allocates nothing. Rows are
+// allocated per source partition so concurrent producers write disjoint
+// backing arrays.
 type MemTransport[U any] struct {
 	updBytes int
 	release  func([]UpdRec[U])
-	// reserve[src][dst], when non-nil, is the record count bucket
-	// (src, dst) allocates on its first Put.
-	reserve [][]int
 	// buckets[src][dst] holds what src's scatter emitted for dst. One
 	// writer per row during scatter, one reader per column once the
 	// source completes (see the Transport contract).
@@ -118,28 +115,23 @@ type MemTransport[U any] struct {
 	pending []atomic.Int64
 }
 
-// memBucket is one (src, dst) slot: the records of every Put in
-// production order, the end offset of each Put (the chunk boundaries
-// DrainFrom hands back), and the drained-chunk table it reuses.
+// memBucket is one (src, dst) slot: one chunk per Put since the last
+// drain, in production order, each a sub-slice of one of the bucket's
+// segments. The segments outlive drains; a full bucket gains a segment
+// rather than moving its records, so no record is copied twice.
 type memBucket[U any] struct {
-	recs   []UpdRec[U]
-	ends   []int
 	chunks []PendingChunk[U]
+	segs   [][]UpdRec[U]
+	cur    int // the segment Puts are filling
 }
 
 // NewMemTransport returns the in-memory transport over the kernel's
-// record geometry and pools. reserve, when non-nil, sizes each bucket on
-// its first Put: reserve[src][dst] records, an exact upper bound when it
-// counts the edges from partition src to partition dst and every edge
-// emits at most one update to its own destination. Without it (or past
-// it) buckets grow by append; either way they keep their capacity for
-// the rest of the run.
-func (k *Kernel[V, U, A]) NewMemTransport(reserve [][]int) *MemTransport[U] {
+// record geometry and pools.
+func (k *Kernel[V, U, A]) NewMemTransport() *MemTransport[U] {
 	np := k.Layout.NumPartitions
 	t := &MemTransport[U]{
 		updBytes: k.UpdBytes,
 		release:  k.ReleaseRecs,
-		reserve:  reserve,
 		buckets:  make([][]memBucket[U], np),
 		pending:  make([]atomic.Int64, np),
 	}
@@ -149,16 +141,32 @@ func (k *Kernel[V, U, A]) NewMemTransport(reserve [][]int) *MemTransport[U] {
 	return t
 }
 
-// Put appends recs as one chunk of bucket (src, dst) and releases recs
+// Put copies recs into bucket (src, dst) as one chunk and releases recs
 // to the kernel pool. Never spills.
 func (t *MemTransport[U]) Put(src, dst int, recs []UpdRec[U]) (int64, int) {
 	b := &t.buckets[src][dst]
-	if b.recs == nil && t.reserve != nil {
-		b.recs = make([]UpdRec[U], 0, max(t.reserve[src][dst], len(recs)))
+	// A chunk never straddles segments. A Put that fits in none of the
+	// remaining ones opens a segment larger than the last by half (or by
+	// the Put, if that is more), so a bucket holds O(log) segments whose
+	// capacity stays within a small multiple of its largest iteration.
+	for b.cur < len(b.segs) && cap(b.segs[b.cur])-len(b.segs[b.cur]) < len(recs) {
+		b.cur++
 	}
-	b.recs = append(b.recs, recs...)
-	b.ends = append(b.ends, len(b.recs))
-	t.pending[dst].Add(int64(len(recs)) * int64(t.updBytes))
+	if b.cur == len(b.segs) {
+		size := len(recs)
+		if n := len(b.segs); n > 0 {
+			last := cap(b.segs[n-1])
+			size = last + max(last/2, len(recs))
+		}
+		b.segs = append(b.segs, make([]UpdRec[U], 0, size))
+	}
+	seg := b.segs[b.cur]
+	lo := len(seg)
+	seg = append(seg, recs...)
+	b.segs[b.cur] = seg
+	sz := int64(len(recs)) * int64(t.updBytes)
+	b.chunks = append(b.chunks, PendingChunk[U]{Bytes: sz, recs: seg[lo:len(seg):len(seg)]})
+	t.pending[dst].Add(sz)
 	t.release(recs)
 	return 0, 0
 }
@@ -169,27 +177,26 @@ func (t *MemTransport[U]) PendingBytes(dst int) int64 {
 }
 
 // DrainFrom empties bucket (src, dst) and returns one chunk per Put, in
-// production order. The chunks alias the bucket's records and its chunk
-// table: they stay valid until the bucket's next Put or drain, which
-// the Transport contract places after the gather that consumes them.
+// production order. The chunks alias the bucket's segments and its
+// chunk table: they stay valid until the bucket's next Put or drain,
+// which the Transport contract places after the gather that consumes
+// them.
 func (t *MemTransport[U]) DrainFrom(dst, src int) []PendingChunk[U] {
 	b := &t.buckets[src][dst]
-	if len(b.ends) == 0 {
+	out := b.chunks
+	if len(out) == 0 {
 		return nil
 	}
-	out := b.chunks[:0]
-	lo := 0
-	for _, hi := range b.ends {
-		out = append(out, PendingChunk[U]{
-			Bytes: int64(hi-lo) * int64(t.updBytes),
-			recs:  b.recs[lo:hi:hi],
-		})
-		lo = hi
+	var drained int64
+	for i := range out {
+		drained += out[i].Bytes
 	}
-	b.chunks = out
-	b.recs = b.recs[:0]
-	b.ends = b.ends[:0]
-	t.pending[dst].Add(-int64(lo) * int64(t.updBytes))
+	b.chunks = out[:0]
+	for i := range b.segs {
+		b.segs[i] = b.segs[i][:0]
+	}
+	b.cur = 0
+	t.pending[dst].Add(-drained)
 	return out
 }
 

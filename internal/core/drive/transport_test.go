@@ -87,7 +87,7 @@ func drainAll[U any](tr Transport[U], np, dst int) []UpdRec[U] {
 // back in (source partition, production) order with contents intact.
 func TestMemTransportFoldOrder(t *testing.T) {
 	k := testKernel(t, 3)
-	tr := k.NewMemTransport(nil)
+	tr := k.NewMemTransport()
 	// Interleave producers: src 2 first, then 0, then 2 again, then 1.
 	var want []UpdRec[float32]
 	puts := []struct{ src, base int }{{2, 100}, {0, 200}, {2, 300}, {1, 400}}
@@ -150,49 +150,38 @@ func equalRecs(a, b []UpdRec[float32]) bool {
 // draining bucket (src, dst) yields exactly one chunk per Put, in
 // production order, each with its Put's records and Bytes — so the
 // gather's fold sequence, byte tallies and chunk counts are those of
-// the Puts themselves — whether or not the bucket was presized, and when
-// the Puts overrun the reserved count.
+// the Puts themselves — including Puts that outgrow the bucket's
+// capacity and open a new segment.
 func TestMemTransportDrainsPutsInOrder(t *testing.T) {
 	k := testKernel(t, 3)
+	tr := k.NewMemTransport()
 	sizes := []int{5, 1, 9, 3, 7}
-	for _, tc := range []struct {
-		name    string
-		reserve int
-	}{{"grow", -1}, {"exact", 25}, {"overrun", 3}} {
-		t.Run(tc.name, func(t *testing.T) {
-			var reserve [][]int
-			if tc.reserve >= 0 {
-				reserve = [][]int{{0, 0, 0}, {0, 0, 0}, {0, tc.reserve, 0}}
-			}
-			tr := k.NewMemTransport(reserve)
-			var want [][]UpdRec[float32]
-			for i, n := range sizes {
-				c := chunkOf(100*i, n)
-				want = append(want, c)
-				tr.Put(2, 1, append([]UpdRec[float32](nil), c...))
-				// Other buckets of the row and column interleave.
-				tr.Put(2, 0, chunkOf(900, 2))
-				tr.Put(0, 1, chunkOf(800, 2))
-			}
-			got, bytes := drainChunks[float32](tr, 1, 2)
-			if len(got) != len(want) {
-				t.Fatalf("drained %d chunks, want one per Put (%d)", len(got), len(want))
-			}
-			for i := range want {
-				if !equalRecs(got[i], want[i]) {
-					t.Fatalf("chunk %d: got %+v, want %+v", i, got[i], want[i])
-				}
-				if wb := int64(len(want[i])) * int64(k.UpdBytes); bytes[i] != wb {
-					t.Errorf("chunk %d: Bytes = %d, want %d", i, bytes[i], wb)
-				}
-			}
-			if again := tr.DrainFrom(1, 2); len(again) != 0 {
-				t.Errorf("second drain returned %d chunks, want none", len(again))
-			}
-			if got, want := tr.PendingBytes(1), int64(2*len(sizes))*int64(k.UpdBytes); got != want {
-				t.Errorf("PendingBytes(1) = %d after draining src 2, want src 0's %d", got, want)
-			}
-		})
+	var want [][]UpdRec[float32]
+	for i, n := range sizes {
+		c := chunkOf(100*i, n)
+		want = append(want, c)
+		tr.Put(2, 1, append([]UpdRec[float32](nil), c...))
+		// Other buckets of the row and column interleave.
+		tr.Put(2, 0, chunkOf(900, 2))
+		tr.Put(0, 1, chunkOf(800, 2))
+	}
+	got, bytes := drainChunks[float32](tr, 1, 2)
+	if len(got) != len(want) {
+		t.Fatalf("drained %d chunks, want one per Put (%d)", len(got), len(want))
+	}
+	for i := range want {
+		if !equalRecs(got[i], want[i]) {
+			t.Fatalf("chunk %d: got %+v, want %+v", i, got[i], want[i])
+		}
+		if wb := int64(len(want[i])) * int64(k.UpdBytes); bytes[i] != wb {
+			t.Errorf("chunk %d: Bytes = %d, want %d", i, bytes[i], wb)
+		}
+	}
+	if again := tr.DrainFrom(1, 2); len(again) != 0 {
+		t.Errorf("second drain returned %d chunks, want none", len(again))
+	}
+	if got, want := tr.PendingBytes(1), int64(2*len(sizes))*int64(k.UpdBytes); got != want {
+		t.Errorf("PendingBytes(1) = %d after draining src 2, want src 0's %d", got, want)
 	}
 }
 
@@ -201,7 +190,7 @@ func TestMemTransportDrainsPutsInOrder(t *testing.T) {
 // next drain returns only that round's records.
 func TestMemTransportReusesBuckets(t *testing.T) {
 	k := testKernel(t, 2)
-	tr := k.NewMemTransport([][]int{{0, 16}, {0, 0}})
+	tr := k.NewMemTransport()
 	tr.Put(0, 1, chunkOf(100, 6))
 	tr.Put(0, 1, chunkOf(200, 4))
 	first, _ := drainChunks[float32](tr, 1, 0)
@@ -228,14 +217,7 @@ func TestMemTransportReusesBuckets(t *testing.T) {
 func TestMemTransportConcurrentRounds(t *testing.T) {
 	const np, puts, per = 4, 5, 8
 	k := testKernel(t, np)
-	reserve := make([][]int, np)
-	for src := range reserve {
-		reserve[src] = make([]int, np)
-		for dst := range reserve[src] {
-			reserve[src][dst] = puts * per
-		}
-	}
-	tr := k.NewMemTransport(reserve)
+	tr := k.NewMemTransport()
 	chunk := func(round, src, dst, i int) []UpdRec[float32] {
 		return chunkOf(((round*np+src)*np+dst)*puts*per+i*per, per)
 	}
@@ -362,7 +344,7 @@ func TestStreamingDrainFoldOrder(t *testing.T) {
 	// spilled prefix then the mem tail.
 	budget := int64(2*chunkRecs+1) * int64(k.UpdBytes)
 	transports := map[string]Transport[float32]{
-		"mem":   k.NewMemTransport(nil),
+		"mem":   k.NewMemTransport(),
 		"spill": k.NewSpillTransport(budget, backend, nil),
 	}
 	for _, name := range []string{"mem", "spill"} {

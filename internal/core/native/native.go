@@ -94,7 +94,7 @@ type run[V, U, A any] struct {
 	// tr carries updates from scatter to gather through the transport
 	// seam (internal/core/drive): typed records through per-(src, dst)
 	// buckets under the one-writer-until-completion discipline —
-	// resident buckets presized by preprocess, or, past
+	// resident buckets reused across iterations, or, past
 	// Config.TransportBudgetBytes, encoded onto spill files.
 	tr drive.Transport[U]
 
@@ -224,9 +224,9 @@ func newRun[V, U, A any](cfg core.Config, prog gas.Program[V, U, A], edges []gra
 			return nil, err
 		}
 		r.tr = r.kern.NewSpillTransport(cfg.TransportBudgetBytes, backend, func() error { return os.RemoveAll(dir) })
+	} else {
+		r.tr = r.kern.NewMemTransport()
 	}
-	// Without a budget the in-memory transport is built by preprocess,
-	// which sizes its buckets from the edge counts it bins.
 	r.scatterClaimed = make([]atomic.Bool, np)
 	r.gatherClaimed = make([]atomic.Bool, np)
 	r.scatterDone = make([]chan struct{}, np)
@@ -266,9 +266,6 @@ func (r *run[V, U, A]) execute(edges []graph.Edge) (interrupted bool, err error)
 	// consumed by the gather preceding each decision point, so nothing
 	// pending is lost).
 	defer func() {
-		if r.tr == nil {
-			return
-		}
 		if cerr := r.tr.Close(); cerr != nil && err == nil {
 			err = cerr
 		}

@@ -15,15 +15,6 @@ import (
 // their input slices concurrently; per-partition chunk lists are
 // concatenated in machine order so the edge stream every later scatter
 // sees is deterministic.
-//
-// Without a transport budget, preprocess also builds the in-memory
-// transport, sized the way Chaos sizes its update buffers up front: the
-// same pass counts edges per (source, destination) partition pair, and
-// each resident bucket allocates that count on its first Put. Every
-// built-in program emits at most one update per edge, to the edge's
-// destination, so the count bounds what a plain scatter puts in the
-// bucket. The combiner and the rewriter change what a scatter emits, so
-// under them buckets grow by append instead.
 
 func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
 	np := r.layout.NumPartitions
@@ -31,13 +22,10 @@ func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
 	edgeSize := r.kern.EdgeFmt.EdgeSize()
 	limit := drive.SpillLimit(r.cfg.ChunkBytes, edgeSize)
 	needDeg := r.prog.NeedsDegrees()
-	mem := r.tr == nil
-	countPairs := mem && r.kern.Combiner == nil && r.kern.Rewriter == nil
 
 	type binned struct {
 		chunks [][][]byte // per partition
 		deg    [][]uint32 // per partition, nil unless needDeg
-		pairs  [][]int    // per source partition, per destination; nil unless countPairs
 	}
 	bins := make([]binned, r.nm)
 	var wg sync.WaitGroup
@@ -50,9 +38,6 @@ func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
 			b.chunks = make([][][]byte, np)
 			if needDeg {
 				b.deg = make([][]uint32, np)
-			}
-			if countPairs {
-				b.pairs = make([][]int, np)
 			}
 			tails := make([][]byte, np)
 			for _, e := range perMachine[m] {
@@ -81,14 +66,6 @@ func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
 					lo, _ := r.layout.Range(p)
 					deg[e.Src-lo]++
 				}
-				if countPairs {
-					row := b.pairs[p]
-					if row == nil {
-						row = make([]int, np)
-						b.pairs[p] = row
-					}
-					row[r.layout.Of(e.Dst)]++
-				}
 			}
 			for p, buf := range tails {
 				if len(buf) > 0 {
@@ -114,17 +91,10 @@ func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
 	wg.Wait()
 
 	// Concatenate in machine order (the deterministic stream order) and
-	// fold degrees and pair counts.
+	// fold degrees.
 	var degAcc [][]uint32
 	if needDeg {
 		degAcc = make([][]uint32, np)
-	}
-	var reserve [][]int
-	if countPairs {
-		reserve = make([][]int, np)
-		for p := range reserve {
-			reserve[p] = make([]int, np)
-		}
 	}
 	for m := range bins {
 		for p, chunks := range bins[m].chunks {
@@ -146,14 +116,6 @@ func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
 				}
 			}
 		}
-		for p, row := range bins[m].pairs {
-			for dst, n := range row {
-				reserve[p][dst] += n
-			}
-		}
-	}
-	if mem {
-		r.tr = r.kern.NewMemTransport(reserve)
 	}
 
 	// Initialize vertex values straight into the resident store. Init

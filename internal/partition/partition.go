@@ -11,7 +11,6 @@ package partition
 
 import (
 	"fmt"
-	"math/bits"
 
 	"chaos/internal/graph"
 )
@@ -28,10 +27,6 @@ type Layout struct {
 	// PerPartition is the width of each vertex-ID range (the last
 	// partition may be narrower).
 	PerPartition uint64
-
-	// recip is ceil(2^64 / PerPartition) when 1 < PerPartition < 2^32,
-	// else 0: Of's division-free fast path (see newLayout).
-	recip uint64
 }
 
 // NewLayout chooses the partitioning for numVertices vertices across
@@ -57,7 +52,12 @@ func NewLayout(numVertices uint64, numMachines int, vertexBytes, memBudget int64
 		p := numMachines * mult
 		per := ceilDiv(numVertices, uint64(p))
 		if per <= maxPerPartition {
-			return newLayout(numVertices, numMachines, p, per), nil
+			return &Layout{
+				NumVertices:   numVertices,
+				NumPartitions: p,
+				NumMachines:   numMachines,
+				PerPartition:  per,
+			}, nil
 		}
 	}
 }
@@ -69,46 +69,24 @@ func FixedLayout(numVertices uint64, numMachines, numPartitions int) (*Layout, e
 	if numPartitions <= 0 || numPartitions%numMachines != 0 {
 		return nil, fmt.Errorf("partition: count %d is not a positive multiple of machines %d", numPartitions, numMachines)
 	}
-	return newLayout(numVertices, numMachines, numPartitions, ceilDiv(numVertices, uint64(numPartitions))), nil
-}
-
-// newLayout fills in a layout and precomputes Of's reciprocal. For a
-// divisor d < 2^32 and m = floor((2^64-1)/d) + 1 = ceil(2^64/d), the
-// high word of n*m equals n/d for every n < 2^32: m*d = 2^64 + e with
-// 0 <= e < d, so n*m/2^64 = n/d + n*e/(d*2^64), and n*e < 2^64 keeps the
-// excess below the 1/d gap to the next integer. d = 1 would need
-// m = 2^64, so it keeps the plain division.
-func newLayout(numVertices uint64, numMachines, numPartitions int, per uint64) *Layout {
-	l := &Layout{
+	return &Layout{
 		NumVertices:   numVertices,
 		NumPartitions: numPartitions,
 		NumMachines:   numMachines,
-		PerPartition:  per,
-	}
-	if per > 1 && per < 1<<32 {
-		l.recip = ^uint64(0)/per + 1
-	}
-	return l
+		PerPartition:  ceilDiv(numVertices, uint64(numPartitions)),
+	}, nil
 }
 
 func ceilDiv(a, b uint64) uint64 { return (a + b - 1) / b }
 
-// Of returns the partition owning vertex v. Both planes call it per edge
-// and per update, so IDs and widths below 2^32 take a multiply by the
-// precomputed reciprocal instead of a 64-bit divide; the result is the
-// same either way.
+// Of returns the partition owning vertex v.
 func (l *Layout) Of(v graph.VertexID) int {
-	var q uint64
-	if l.recip != 0 && uint64(v) < 1<<32 {
-		q, _ = bits.Mul64(uint64(v), l.recip)
-	} else {
-		q = uint64(v) / l.PerPartition
-	}
-	if q >= uint64(l.NumPartitions) {
+	p := int(uint64(v) / l.PerPartition)
+	if p >= l.NumPartitions {
 		// Only reachable for IDs beyond NumVertices; clamp defensively.
-		return l.NumPartitions - 1
+		p = l.NumPartitions - 1
 	}
-	return int(q)
+	return p
 }
 
 // Range returns the vertex-ID range [lo, hi) of partition p.

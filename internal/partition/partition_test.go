@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -161,60 +160,5 @@ func TestFixedLayoutValidation(t *testing.T) {
 	}
 	if _, err := FixedLayout(10, 4, 0); err == nil {
 		t.Error("zero partitions should error")
-	}
-}
-
-// TestOfMatchesDivision pins Of's reciprocal fast path to plain division
-// (clamped to the last partition) on the widths where the two paths
-// meet — 1 (no reciprocal), 2^32-1 (largest reciprocal width) and 2^32
-// (division) — at and just below every partition edge, for IDs past
-// 2^32, and on random widths and IDs.
-func TestOfMatchesDivision(t *testing.T) {
-	want := func(l *Layout, v uint64) int {
-		return int(min(v/l.PerPartition, uint64(l.NumPartitions-1)))
-	}
-	check := func(l *Layout, v uint64) {
-		t.Helper()
-		if got, exp := l.Of(graph.VertexID(v)), want(l, v); got != exp {
-			t.Fatalf("%v: Of(%d) = %d, want %d", l, v, got, exp)
-		}
-	}
-	edges := func(l *Layout) {
-		t.Helper()
-		for p := uint64(0); p <= uint64(l.NumPartitions)+1; p++ {
-			e := p * l.PerPartition
-			for _, v := range []uint64{e, e + 1, e - 1} {
-				check(l, v)
-			}
-		}
-	}
-	const two32 = uint64(1) << 32
-	layouts := []*Layout{
-		newLayout(8, 2, 8, 1),
-		newLayout(4*(two32-1), 2, 4, two32-1),
-		newLayout(4*two32, 2, 4, two32),
-		newLayout(1003, 4, 8, 126),
-		newLayout(two32-1, 1, 3, 1431655765),
-		newLayout(1<<40, 4, 4, 1<<38),
-	}
-	if layouts[0].recip != 0 || layouts[1].recip == 0 || layouts[2].recip != 0 {
-		t.Fatal("reciprocal set on the wrong widths")
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 200; i++ {
-		np := rng.Intn(64) + 1
-		per := uint64(rng.Int63n(int64(two32))) + 1
-		layouts = append(layouts, newLayout(per*uint64(np), 1, np, per))
-	}
-	for _, l := range layouts {
-		edges(l)
-		// The last-partition clamp and the largest IDs.
-		for _, v := range []uint64{two32 - 1, two32, two32 + 1, 1 << 40, ^uint64(0) - 1, ^uint64(0)} {
-			check(l, v)
-		}
-		for i := 0; i < 2000; i++ {
-			check(l, uint64(rng.Int63n(int64(two32))))
-			check(l, rng.Uint64())
-		}
 	}
 }

@@ -12,11 +12,6 @@ import (
 	"chaos/internal/core/native"
 	"chaos/internal/gas"
 	"chaos/internal/metrics"
-	// runProgram instantiates both drivers' generic hot loops here, and
-	// the compiler inlines partition.Layout's per-edge lookups (Of,
-	// Range) into an instantiation only when the instantiating package
-	// imports partition itself.
-	_ "chaos/internal/partition"
 )
 
 // runProgram executes a GAS program through the configured driver —
