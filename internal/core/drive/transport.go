@@ -203,9 +203,18 @@ func (t *MemTransport[U]) DrainFrom(dst, src int) []PendingChunk[U] {
 // Stats reports zero: the in-memory transport never spills.
 func (t *MemTransport[U]) Stats() TransportStats { return TransportStats{} }
 
-// Close is a no-op: the buckets are garbage-collected with the
-// transport.
-func (t *MemTransport[U]) Close() error { return nil }
+// Close drops every bucket's segments and chunk table. A pointer to
+// the transport or to one of its buckets can outlive the run — a stale
+// stack slot that the garbage collector scans conservatively, in a
+// goroutine that reuses a finished one's stack — and must not pin a
+// whole run's records.
+func (t *MemTransport[U]) Close() error {
+	for _, row := range t.buckets {
+		clear(row)
+	}
+	t.buckets = nil
+	return nil
+}
 
 // drainState tracks one drained bucket's outstanding spilled chunks so
 // the bucket's spill stream is truncated exactly once, after the last

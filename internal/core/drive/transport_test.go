@@ -1,8 +1,10 @@
 package drive
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"chaos/internal/algorithms"
 	"chaos/internal/graph"
@@ -207,6 +209,40 @@ func TestMemTransportReusesBuckets(t *testing.T) {
 	if &second[0][0] != base {
 		t.Error("second round did not reuse the first round's backing array")
 	}
+}
+
+// TestMemTransportCloseReleasesRecords checks that a closed transport
+// pins none of its records: a pointer to a finished run's transport can
+// survive in a stale stack slot, and it must not keep the run's update
+// buckets live.
+func TestMemTransportCloseReleasesRecords(t *testing.T) {
+	k := testKernel(t, 2)
+	tr := k.NewMemTransport()
+	segs := fillAndWatch(tr)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	for i, w := range segs {
+		if w.Value() != nil {
+			t.Errorf("segment %d is still live after Close", i)
+		}
+	}
+	runtime.KeepAlive(tr)
+}
+
+// fillAndWatch Puts one chunk into two buckets, drains them and returns
+// weak pointers to the segments that hold their records, so only tr
+// keeps the segments live once it returns.
+func fillAndWatch(tr *MemTransport[float32]) []weak.Pointer[UpdRec[float32]] {
+	tr.Put(0, 1, chunkOf(100, 64))
+	tr.Put(1, 0, chunkOf(200, 64))
+	var segs []weak.Pointer[UpdRec[float32]]
+	for _, b := range [][2]int{{1, 0}, {0, 1}} {
+		chunks := tr.DrainFrom(b[0], b[1])
+		segs = append(segs, weak.Make(&chunks[0].Load()[0]))
+	}
+	return segs
 }
 
 // TestMemTransportConcurrentRounds runs the native store's discipline

@@ -264,10 +264,16 @@ func (r *run[V, U, A]) execute(edges []graph.Edge) (interrupted bool, err error)
 	// Closing the transport removes any spill files, on every exit path:
 	// completion, interrupt, and rollback alike (update sets are fully
 	// consumed by the gather preceding each decision point, so nothing
-	// pending is lost).
+	// pending is lost). It also drops the resident update buckets, and
+	// the edge chunks go with them, so a stale pointer to this run
+	// (see MemTransport.Close) cannot keep them live into the next.
 	defer func() {
 		if cerr := r.tr.Close(); cerr != nil && err == nil {
 			err = cerr
+		}
+		for p := range r.edges {
+			clear(r.edges[p])
+			clear(r.edgesNext[p])
 		}
 	}()
 
